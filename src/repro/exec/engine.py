@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Engine", "EngineOutcome", "compose", "run_range", "split_ranges"]
 
-#: One emitted triangle group ``(u, v, (w, ...))`` — same shape as the
-#: process-parallel engine's merge unit.
+#: One emitted triangle group ``(u, v, (w, ...))`` — also the process
+#: pool's merge unit.
 Group = tuple[int, int, tuple[int, ...]]
 
 

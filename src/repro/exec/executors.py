@@ -7,31 +7,33 @@ I/O locality differ.  That invariance is what the scenario matrix's
 conservation checks pin down.
 
 * :class:`SerialExecutor` — one range, one loop; the reference cell.
-* :class:`ThreadedExecutor` — a thread pool over oversubscribed vertex
-  ranges.  Under CPython this overlaps I/O (the disk source's page
+* :class:`ThreadedExecutor` — a thread pool over oversubscribed
+  equal-width :func:`split_ranges` (a disk handle cannot provide the
+  degree mass :func:`~repro.parallel.chunks.plan_chunks` balances
+  on).  Under CPython this overlaps I/O (the disk source's page
   reads) rather than CPU, mirroring the paper's threaded OPT; each task
   reads through ``fork_local()`` so stateful read paths stay
   single-threaded internally.
-* :class:`ProcessExecutor` — a forked pool attaching the source's
-  shared-memory CSR per task.  Requires a shareable source; the
-  registry marks other combinations invalid rather than pickling whole
-  graphs across the boundary.
+* :class:`ProcessExecutor` — the work-queue fork pool of
+  :func:`repro.parallel.engine.run_pool` (the one that also runs
+  :func:`~repro.parallel.triangulate_parallel`): degree-balanced
+  :func:`~repro.parallel.chunks.plan_chunks` chunks over the source's
+  published CSR, which every worker attaches zero-copy.  Requires a
+  shareable source; the registry marks other combinations invalid
+  rather than pickling whole graphs across the boundary.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError
 from repro.exec.engine import EngineOutcome, run_range, split_ranges
 from repro.exec.protocols import Kernel, Source
+from repro.parallel.chunks import OVERSUBSCRIPTION, default_chunk_count, plan_chunks
 
-__all__ = ["OVERSUBSCRIPTION", "ProcessExecutor", "SerialExecutor",
-           "ThreadedExecutor"]
-
-#: Chunks per worker — same 4x morphing sweet spot as
-#: :mod:`repro.parallel.chunks`.
-OVERSUBSCRIPTION = 4
+__all__ = ["ProcessExecutor", "SerialExecutor", "ThreadedExecutor"]
 
 
 def _merge_io(totals: dict[str, int], stats: dict[str, int]) -> None:
@@ -137,55 +139,8 @@ class ThreadedExecutor:
             return outcome
 
 
-def _process_job(args) -> tuple[int, int, list, dict | None, dict]:
-    """Forked worker body: attach, run one range, detach.
-
-    *attr_source* is the source name to attribute under, or ``None``
-    when the parent did not ask for attribution; the worker's table
-    crosses the process boundary as a plain-dict snapshot, and the
-    binding's per-branch tally as a plain dict.
-    """
-    csr_handle, kernel_name, lo, hi, collect, attr_source = args
-    from repro.exec import registry
-    from repro.obs.attribution import Attribution
-    from repro.parallel.shm import SharedCSR
-
-    shared = SharedCSR.attach(csr_handle)
-    graph = None
-    try:
-        graph = shared.graph()
-        kernel = registry.make_kernel(kernel_name)
-        binding = kernel.bind(graph.num_vertices)
-        table = Attribution() if attr_source is not None else None
-        scope = (table.scope(phase="exec", kernel=kernel_name,
-                             source=attr_source)
-                 if table is not None else None)
-        triangles, ops, groups = run_range(_AttachedHandle(graph), binding,
-                                           lo, hi, collect, scope=scope)
-        snapshot = table.snapshot() if table is not None else None
-        return triangles, ops, groups, snapshot, binding.stats()
-    finally:
-        # Views into the shared buffers must die before close().
-        graph = None
-        shared.close()
-
-
-class _AttachedHandle:
-    """Minimal handle over a worker-side attached Graph."""
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    @property
-    def num_vertices(self) -> int:
-        return self._graph.num_vertices
-
-    def succ(self, u: int):
-        return self._graph.n_succ(u)
-
-
 class ProcessExecutor:
-    """A forked process pool over a shareable (shared-memory) source."""
+    """The work-queue process pool over a shareable (shared-memory) source."""
 
     name = "process"
     requires_shareable = True
@@ -197,32 +152,33 @@ class ProcessExecutor:
 
     def execute(self, source: Source, kernel: Kernel, *,
                 collect: bool, attribution=None) -> EngineOutcome:
-        import multiprocessing as mp
+        # Imported on use: repro.parallel.engine itself imports repro.exec.
+        from repro.parallel.engine import run_pool
 
         with source.open() as handle:
-            csr_handle = handle.csr_handle()
-            if csr_handle is None:
+            if handle.csr_handle() is None:
                 raise ConfigurationError(
                     f"source {source.name!r} is not attachable across "
                     "processes; use the shared-memory source"
                 )
-            ranges = split_ranges(handle.num_vertices,
-                                  self.workers * OVERSUBSCRIPTION)
-            if not ranges:
-                return EngineOutcome(io=dict(handle.io_stats()))
-            attr_source = source.name if attribution is not None else None
-            jobs = [(csr_handle, kernel.name, lo, hi, collect, attr_source)
-                    for lo, hi in ranges]
-            ctx = mp.get_context("fork")
-            outcome = EngineOutcome(chunks=len(ranges))
-            with ctx.Pool(processes=min(self.workers, len(jobs))) as pool:
-                for (triangles, ops, groups, snapshot,
-                     branches) in pool.map(_process_job, jobs):
-                    outcome.triangles += triangles
-                    outcome.cpu_ops += ops
-                    outcome.groups.extend(groups)
-                    _merge_branches(outcome.branches, branches)
-                    if snapshot is not None:
-                        attribution.merge_snapshot(snapshot)
-            outcome.io = dict(handle.io_stats())
+            # No local names the shared Graph: a traceback holding one
+            # would keep its buffers exported and block the segment close.
+            bounds = plan_chunks(
+                handle.graph, default_chunk_count(handle.graph, self.workers))
+            scope = (dict(phase="exec", kernel=kernel.name,
+                          source=source.name)
+                     if attribution is not None else None)
+            result = run_pool(handle, bounds, workers=self.workers,
+                              kernel=kernel.name, collect=collect,
+                              anchor=time.perf_counter(), scope=scope)
+            outcome = EngineOutcome(chunks=len(bounds),
+                                    io=dict(handle.io_stats()))
+            for _, _, _, triangles, ops, groups in result.rows():
+                outcome.triangles += triangles
+                outcome.cpu_ops += ops
+                outcome.groups.extend(groups)
+            for report in result.worker_reports:
+                _merge_branches(outcome.branches, report.branches)
+                if report.attribution is not None:
+                    attribution.merge_snapshot(report.attribution)
             return outcome

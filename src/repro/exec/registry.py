@@ -199,7 +199,6 @@ REGISTERED_ENTRY_POINTS = frozenset({
     "memory/compact_forward.py::compact_forward",
     "memory/matrix.py::matrix_count",
     "memory/cliques.py::count_cliques",
-    "memory/parallel.py::parallel_edge_iterator",
     "core/engine.py::triangulate_disk",
     "core/engine.py::replay",
     "core/threaded.py::triangulate_threaded",

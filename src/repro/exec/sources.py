@@ -42,17 +42,21 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class _GraphHandle:
-    """Successor reads straight off an in-memory CSR."""
+    """Successor reads straight off an in-memory CSR.
+
+    ``graph`` is public so the process pool can plan chunks over it and
+    publish it when the handle has no ``csr_handle()``.
+    """
 
     def __init__(self, graph: Graph):
-        self._graph = graph
+        self.graph = graph
 
     @property
     def num_vertices(self) -> int:
-        return self._graph.num_vertices
+        return self.graph.num_vertices
 
     def succ(self, u: int) -> np.ndarray:
-        return self._graph.n_succ(u)
+        return self.graph.n_succ(u)
 
     def fork_local(self) -> "_GraphHandle":
         return self  # immutable numpy views: thread-safe as-is
@@ -113,7 +117,7 @@ class SharedMemorySource:
         finally:
             # The handle's Graph wraps the shared buffers; its views must
             # die before close() or the mmap refuses to unmap.
-            handle._graph = None  # type: ignore[assignment]
+            handle.graph = None  # type: ignore[assignment]
             shared.close()
             shared.unlink()
 

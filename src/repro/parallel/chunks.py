@@ -38,11 +38,10 @@ def plan_chunks(graph: Graph, chunks: int) -> list[tuple[int, int]]:
     """Split ``[0, num_vertices)`` into ≤ *chunks* half-open ranges of
     approximately equal successor mass.
 
-    Mirrors :func:`repro.memory.parallel.stripe_bounds` (same cumsum +
-    searchsorted split) but is pure planning: the chunk list is computed
-    once in the parent and pushed onto the work queue, so the split is
-    identical for every worker count — the root of the engine's
-    determinism guarantee.
+    Pure planning (a cumsum + searchsorted split): the chunk list is
+    computed once in the parent and pushed onto the work queue, so the
+    split is identical for every worker count — the root of the
+    engine's determinism guarantee.
     """
     if chunks < 1:
         raise ConfigurationError("chunks must be >= 1")

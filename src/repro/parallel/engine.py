@@ -12,13 +12,19 @@ Section 3.4 of the paper):
    round-robin "fair share" of chunk ``i`` is worker ``i % workers`` — a
    worker executing someone else's chunk is the *steal* that morphing
    performs with threads;
-3. each worker runs the EdgeIterator≻ kernel (:func:`count_chunk`) per
-   chunk and accumulates its own :class:`MetricsRegistry` counters and
+3. each worker binds the named intersection kernel once, runs the one
+   EdgeIterator≻ loop (:func:`repro.exec.engine.run_range`) per chunk,
+   and accumulates its own :class:`MetricsRegistry` counters and
    :class:`EventTracer` slices on a private ``parallel/w<id>`` track;
 4. the parent merges: triangle groups re-emitted to the caller's sink in
    chunk order (so output is identical for every worker count), worker
    metric snapshots folded into the run report's registry, worker trace
    events translated onto the caller's tracer timeline.
+
+:func:`run_pool` is that pool — the repository's only fork pool.  Both
+:func:`triangulate_parallel` (the ``hash`` kernel over a heap graph it
+publishes on demand) and :class:`repro.exec.executors.ProcessExecutor`
+(any kernel over the ``shm`` source's published CSR) run on it.
 
 Determinism contract: the chunk plan, per-chunk triangle groups, and all
 op counts depend only on the graph — never on scheduling.  Only
@@ -37,6 +43,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
+from repro.exec.engine import Group, run_range
+from repro.exec.kernels import HashKernel
+from repro.exec.sources import _GraphHandle
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs.registry import MetricsRegistry
@@ -46,17 +55,17 @@ from repro.obs.trace import EventTracer, TraceEvent
 from repro.parallel.chunks import default_chunk_count, plan_chunks
 from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor, StragglerPolicy
 from repro.parallel.shm import SharedCSR
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = [
     "ParallelResult",
     "WorkerReport",
     "count_chunk",
+    "run_pool",
     "triangulate_parallel",
 ]
 
-#: One emitted triangle group: ``(u, v, (w, ...))``.
-Group = tuple[int, int, tuple[int, ...]]
+#: One executed chunk: ``(chunk_index, lo, hi, triangles, ops, groups)``.
+Row = tuple[int, int, int, int, int, list[Group]]
 
 
 def count_chunk(
@@ -67,54 +76,21 @@ def count_chunk(
     collect: bool = False,
     scope=None,
 ) -> tuple[int, int, list[Group]]:
-    """EdgeIterator≻ over the vertex range ``[lo, hi)``.
+    """EdgeIterator≻ over the vertex range ``[lo, hi)`` of a raw CSR.
 
-    Returns ``(triangles, ops, groups)``; *groups* is empty unless
-    *collect*.  Charges exactly the probes the serial
-    :func:`repro.memory.edge_iterator.edge_iterator` charges for the
-    same vertices (Eq. 3), so summing chunk ops over any partition of
-    ``[0, n)`` reproduces the serial total — the conservation property
-    tested in ``tests/test_sim_properties.py``.
-
+    :func:`repro.exec.engine.run_range` with the ``hash`` kernel:
+    returns ``(triangles, ops, groups)``, *groups* empty unless
+    *collect*, with exactly the Eq. 3 charges of the serial
+    :func:`repro.memory.edge_iterator.edge_iterator` — so summing chunk
+    ops over any partition of ``[0, n)`` reproduces the serial total.
     *scope* is an optional
-    :class:`~repro.obs.attribution.AttributionScope`: each pair's charge
-    additionally lands in the degree bucket of ``min(|a|, |b|)``, so the
-    attribution cells conserve the returned ``ops`` per chunk — and, by
-    integer summation, over any chunk partition.
+    :class:`~repro.obs.attribution.AttributionScope` charged per degree
+    bucket, as in :func:`~repro.exec.engine.run_range`.
     """
     graph = Graph(indptr, indices, validate=False)
-    triangles = 0
-    ops = 0
-    groups: list[Group] = []
-    # bit_length -> [pairs, ops, triangles]; bulk-charged once per chunk
-    # so attribution adds dict updates, not a method call, per pair.
-    counts: dict[int, list[int]] = {}
-    for u in range(lo, hi):
-        succ_u = graph.n_succ(u)
-        if len(succ_u) == 0:
-            continue
-        for v in succ_u:
-            v = int(v)
-            succ_v = graph.n_succ(v)
-            pair_ops = intersect_count_ops(len(succ_u), len(succ_v))
-            ops += pair_ops
-            common = intersect_sorted(succ_u, succ_v)
-            found = len(common)
-            if scope is not None:
-                length = min(len(succ_u), len(succ_v)).bit_length()
-                cell = counts.get(length)
-                if cell is None:
-                    cell = counts[length] = [0, 0, 0]
-                cell[0] += 1
-                cell[1] += pair_ops
-                cell[2] += found
-            if found:
-                triangles += found
-                if collect:
-                    groups.append((u, v, tuple(int(w) for w in common)))
-    if scope is not None and counts:
-        scope.charge_lengths(counts)
-    return triangles, ops, groups
+    return run_range(_GraphHandle(graph),
+                     HashKernel().bind(graph.num_vertices),
+                     lo, hi, collect, scope=scope)
 
 
 @dataclass
@@ -125,15 +101,16 @@ class WorkerReport:
     """
 
     worker_id: int
-    #: ``(chunk_index, lo, hi, triangles, ops, groups)`` per executed chunk.
-    results: list[tuple[int, int, int, int, int, list[Group]]] = field(
-        default_factory=list
-    )
+    #: One :data:`Row` per executed chunk.
+    results: list[Row] = field(default_factory=list)
     snapshot: dict = field(default_factory=dict)
     events: list[TraceEvent] = field(default_factory=list)
     #: Serialized :class:`~repro.obs.attribution.Attribution` snapshot
     #: (deterministic form), or ``None`` when attribution was off.
     attribution: dict | None = None
+    #: The worker's kernel-binding ``stats()``: per-branch
+    #: ``{branch: [pairs, ops]}``, empty for fixed-path kernels.
+    branches: dict[str, list[int]] = field(default_factory=dict)
     error: str | None = None
 
 
@@ -148,25 +125,32 @@ class ParallelResult:
     steals: int
     worker_reports: tuple[WorkerReport, ...]
 
+    def rows(self) -> list[Row]:
+        """Every executed chunk in chunk-index (== vertex) order."""
+        return sorted((row for report in self.worker_reports
+                       for row in report.results), key=lambda row: row[0])
+
 
 def _execute_chunks(
-    graph: Graph,
+    handle,
     tasks: Iterable[tuple[int, int, int]],
     worker_id: int,
     num_workers: int,
     collect: bool,
     anchor: float,
+    kernel: str,
+    scope: dict[str, str] | None = None,
     hb_queue=None,
     chunk_delay: float = 0.0,
-    attribute: bool = False,
 ) -> WorkerReport:
-    """Run *tasks* (``(index, lo, hi)``) and record obs locally.
+    """Run *tasks* (``(index, lo, hi)``) over *handle* and record obs locally.
 
-    Shared by the in-process ``workers=1`` path and the forked worker
-    loop; timestamps are seconds since *anchor* (a parent-side
-    ``perf_counter`` reading), so merged events land on the caller's
-    timeline without clock negotiation — ``perf_counter`` is one
-    system-wide monotonic clock on Linux.
+    Shared by the in-process path and the forked worker loop; the named
+    *kernel* is bound once and every chunk goes through
+    :func:`repro.exec.engine.run_range`.  Timestamps are seconds since
+    *anchor* (a parent-side ``perf_counter`` reading), so merged events
+    land on the caller's timeline without clock negotiation —
+    ``perf_counter`` is one system-wide monotonic clock on Linux.
 
     With *hb_queue* set, a :class:`Heartbeat` is published at start,
     after every chunk, and once more at drain (``done=True``) — always
@@ -176,11 +160,14 @@ def _execute_chunks(
     once before the first task fetch and again inside every chunk (the
     up-front sleep makes the stall deterministic even when the other
     workers drain the queue first; see :class:`StragglerPolicy`).
-    With *attribute*, the worker charges a private attribution table
-    under the constant coordinate ``(parallel, hash, shm)`` and ships
-    its deterministic snapshot on the report — cells merge by summation,
-    so the folded table is independent of worker count and scheduling.
+    With a *scope* (``phase``/``kernel``/``source`` keywords), the
+    worker charges a private attribution table under that constant
+    coordinate and ships its deterministic snapshot on the report —
+    cells merge by summation, so the folded table is independent of
+    worker count and scheduling.  The binding's ``stats()`` ride along
+    the same way.
     """
+    from repro.exec.registry import make_kernel
     from repro.obs.attribution import Attribution
 
     registry = MetricsRegistry()
@@ -192,10 +179,9 @@ def _execute_chunks(
     chunk_elapsed = registry.histogram("parallel.chunk.elapsed")
     track = f"parallel/w{worker_id}"
     report = WorkerReport(worker_id=worker_id)
-    attr_table = Attribution() if attribute else None
-    attr_scope = (attr_table.scope(phase="parallel", kernel="hash",
-                                   source="shm")
-                  if attr_table is not None else None)
+    binding = make_kernel(kernel).bind(handle.num_vertices)
+    attr_table = Attribution() if scope is not None else None
+    attr_scope = attr_table.scope(**scope) if attr_table is not None else None
     done_chunks = total_ops = total_steals = 0
 
     def beat(done: bool = False) -> None:
@@ -217,9 +203,8 @@ def _execute_chunks(
         start = time.perf_counter() - anchor
         if chunk_delay > 0.0:
             time.sleep(chunk_delay)
-        triangles, ops, groups = count_chunk(
-            graph.indptr, graph.indices, lo, hi, collect, scope=attr_scope
-        )
+        triangles, ops, groups = run_range(handle, binding, lo, hi, collect,
+                                           scope=attr_scope)
         end = time.perf_counter() - anchor
         chunks_counter.inc()
         ops_counter.inc(ops)
@@ -241,6 +226,7 @@ def _execute_chunks(
     beat(done=True)
     report.snapshot = registry.snapshot(histogram_samples=True)
     report.events = tracer.events()
+    report.branches = binding.stats()
     if attr_table is not None:
         report.attribution = attr_table.snapshot()
     return report
@@ -255,18 +241,18 @@ def _drain_queue(task_queue) -> Iterator[tuple[int, int, int]]:
         yield item
 
 
-def _worker_main(handle, num_workers: int, worker_id: int, collect: bool,
-                 anchor: float, task_queue, result_queue,
-                 hb_queue=None, chunk_delay: float = 0.0,
-                 attribute: bool = False) -> None:
+def _worker_main(csr, num_workers: int, worker_id: int, collect: bool,
+                 anchor: float, kernel: str, scope, task_queue, result_queue,
+                 hb_queue=None, chunk_delay: float = 0.0) -> None:
     """Forked worker entry: attach, drain the queue, ship one report."""
-    shared = SharedCSR.attach(handle)
+    shared = SharedCSR.attach(csr)
     graph = None
     try:
         graph = shared.graph()
         report = _execute_chunks(
-            graph, _drain_queue(task_queue), worker_id, num_workers,
-            collect, anchor, hb_queue, chunk_delay, attribute,
+            _GraphHandle(graph), _drain_queue(task_queue), worker_id,
+            num_workers, collect, anchor, kernel, scope, hb_queue,
+            chunk_delay,
         )
     # Worker boundary: ANY failure (including KeyboardInterrupt /
     # SystemExit) must reach the parent as an error report, or the
@@ -281,6 +267,147 @@ def _worker_main(handle, num_workers: int, worker_id: int, collect: bool,
         graph = None
         shared.close()
     result_queue.put(report)
+
+
+def run_pool(
+    handle,
+    chunk_bounds: Sequence[tuple[int, int]],
+    *,
+    workers: int,
+    kernel: str,
+    collect: bool,
+    anchor: float,
+    scope: dict[str, str] | None = None,
+    straggler: StragglerPolicy | None = None,
+    telemetry: TelemetrySampler | None = None,
+    registry: MetricsRegistry | None = None,
+    trace: EventTracer | None = None,
+) -> ParallelResult:
+    """Run *chunk_bounds* over *handle* on the work-queue process pool.
+
+    *handle* is a CSR-backed source handle
+    (:class:`repro.exec.sources._GraphHandle` or the shared-memory
+    subclass): forked workers attach its ``csr_handle()``, and a heap
+    graph without one is published for the pool's lifetime — closed
+    and unlinked however the run ends.  ``workers == 1`` or a single
+    chunk runs the identical chunk loop in-process, with no fork and no
+    shared memory.  Every chunk runs the named *kernel*; *scope* is the
+    attribution coordinate as ``phase``/``kernel``/``source`` keywords,
+    or ``None`` to leave attribution off.
+
+    Heartbeat monitoring is opt-in: a *straggler* policy, or implicitly
+    a live (wall-clock) *telemetry* sampler, which also gains the
+    monitor's ``workers`` provider; *registry* and *trace* receive the
+    monitor's counters and instants.  A failed worker raises
+    :class:`ParallelError` naming it, after every process is reaped.
+    """
+    tasks = [(index, lo, hi) for index, (lo, hi) in enumerate(chunk_bounds)]
+    if workers == 1 or len(tasks) == 1:
+        width = 1
+        reports = [_execute_chunks(handle, tasks, 0, 1, collect, anchor,
+                                   kernel, scope)]
+    else:
+        width = min(workers, len(tasks))
+        reports = _fork_pool(handle, tasks, width, collect, anchor, kernel,
+                             scope, straggler, telemetry, registry, trace)
+    failures = sorted(
+        (report.worker_id, report.error)
+        for report in reports if report.error
+    )
+    if failures:
+        detail = "; ".join(f"w{wid}: {err}" for wid, err in failures)
+        raise ParallelError(f"{len(failures)} worker(s) failed: {detail}")
+    reports.sort(key=lambda report: report.worker_id)
+    executed = sorted((row[0], report.worker_id)
+                      for report in reports for row in report.results)
+    if [index for index, _ in executed] != list(range(len(tasks))):
+        raise ParallelError(
+            f"chunk accounting mismatch: planned {len(tasks)}, "
+            f"executed {len(executed)}"
+        )
+    steals = sum(int(report.snapshot.get("counters", {})
+                     .get("parallel.steals", 0)) for report in reports)
+    return ParallelResult(
+        workers=width,
+        chunk_bounds=tuple(chunk_bounds),
+        executed_by=tuple(worker_id for _, worker_id in executed),
+        steals=steals,
+        worker_reports=tuple(reports),
+    )
+
+
+def _fork_pool(handle, tasks, width, collect, anchor, kernel, scope,
+               straggler, telemetry, registry, trace) -> list[WorkerReport]:
+    """Fork *width* workers over one task queue; one report each."""
+    policy = straggler
+    if policy is None and telemetry is not None:
+        policy = StragglerPolicy()
+    monitor: HeartbeatMonitor | None = None
+    if policy is not None:
+        monitor = HeartbeatMonitor(policy, workers=width,
+                                   total_chunks=len(tasks),
+                                   registry=registry, tracer=trace)
+        if telemetry is not None:
+            telemetry.add_provider("workers", monitor.provider)
+    shared = None
+    csr = handle.csr_handle()
+    if csr is None:
+        shared = SharedCSR.publish(handle.graph)
+        csr = shared.handle
+    ctx = mp.get_context("fork")
+    task_queue = ctx.Queue()
+    result_queue = ctx.Queue()
+    hb_queue = ctx.Queue() if monitor is not None else None
+    processes: list = []
+    failed = False
+    try:
+        for task in tasks:
+            task_queue.put(task)
+        for _ in range(width):
+            task_queue.put(None)
+        processes = [
+            ctx.Process(
+                target=_worker_main,
+                args=(csr, width, worker_id, collect, anchor, kernel, scope,
+                      task_queue, result_queue, hb_queue,
+                      policy.inject_chunk_delay
+                      if policy is not None
+                      and policy.inject_worker == worker_id else 0.0),
+                name=f"parallel-w{worker_id}",
+            )
+            for worker_id in range(width)
+        ]
+        for process in processes:
+            process.start()
+        # Drain results *before* join: a worker blocks in put() until
+        # the parent reads, so the reverse order deadlocks on big
+        # payloads.
+        if monitor is None:
+            reports = [result_queue.get() for _ in processes]
+        else:
+            reports = _monitored_drain(processes, result_queue, hb_queue,
+                                       monitor, policy, telemetry, anchor)
+        for process in processes:
+            process.join()
+    # Cleanup-and-reraise: even KeyboardInterrupt must terminate the
+    # workers and discard the queues, or the interpreter hangs at
+    # exit on the feeder threads.  # lint: ignore[error-types]
+    except BaseException:
+        failed = True
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        for process in processes:
+            process.join()
+        raise
+    finally:
+        if shared is not None:
+            shared.close()
+            shared.unlink()
+        _close_queue(task_queue, discard=failed)
+        _close_queue(result_queue, discard=failed)
+        _close_queue(hb_queue, discard=failed)
+    return reports
 
 
 def _close_queue(q, *, discard: bool = False) -> None:
@@ -367,9 +494,7 @@ def _replay_sample(
 
 
 def _merge(
-    reports: Sequence[WorkerReport],
-    chunk_bounds: Sequence[tuple[int, int]],
-    workers: int,
+    result: ParallelResult,
     sink: TriangleSink,
     collect: bool,
     run_report: RunReport | None,
@@ -377,29 +502,10 @@ def _merge(
     anchor_rel: float,
     telemetry: TelemetrySampler | None = None,
     attribution=None,
-) -> tuple[int, int, ParallelResult]:
-    """Fold worker reports into (triangles, ops) + obs, deterministically."""
-    failures = sorted(
-        (report.worker_id, report.error)
-        for report in reports if report.error
-    )
-    if failures:
-        detail = "; ".join(f"w{wid}: {err}" for wid, err in failures)
-        raise ParallelError(f"{len(failures)} worker(s) failed: {detail}")
-
+) -> tuple[int, int]:
+    """Fold the pool's reports into (triangles, ops) + obs, deterministically."""
     merge_started = trace.now() if trace is not None else 0.0
-    executed_by: dict[int, int] = {}
-    rows: list[tuple[int, int, int, int, int, list[Group]]] = []
-    for report in sorted(reports, key=lambda r: r.worker_id):
-        for row in report.results:
-            executed_by[row[0]] = report.worker_id
-            rows.append(row)
-    rows.sort(key=lambda row: row[0])
-    if len(rows) != len(chunk_bounds):
-        raise ParallelError(
-            f"chunk accounting mismatch: planned {len(chunk_bounds)}, "
-            f"executed {len(rows)}"
-        )
+    rows = result.rows()
     triangles = sum(row[3] for row in rows)
     ops = sum(row[4] for row in rows)
     if telemetry is not None and telemetry.clock == "sim":
@@ -411,10 +517,7 @@ def _merge(
             for u, v, ws in groups:
                 sink.emit(u, v, ws)
 
-    steals = 0
-    for report in sorted(reports, key=lambda r: r.worker_id):
-        steals += int(report.snapshot.get("counters", {})
-                      .get("parallel.steals", 0))
+    for report in result.worker_reports:
         if attribution is not None and report.attribution is not None:
             attribution.merge_snapshot(report.attribution)
         if run_report is not None:
@@ -431,17 +534,9 @@ def _merge(
     if trace is not None:
         trace.complete("parallel.merge", merge_started,
                        trace.now() - merge_started,
-                       workers=workers, chunks=len(chunk_bounds))
-    parallel_result = ParallelResult(
-        workers=workers,
-        chunk_bounds=tuple(chunk_bounds),
-        executed_by=tuple(
-            executed_by[index] for index in range(len(chunk_bounds))
-        ),
-        steals=steals,
-        worker_reports=tuple(sorted(reports, key=lambda r: r.worker_id)),
-    )
-    return triangles, ops, parallel_result
+                       workers=result.workers,
+                       chunks=len(result.chunk_bounds))
+    return triangles, ops
 
 
 def triangulate_parallel(
@@ -550,110 +645,29 @@ def triangulate_parallel(
     if chunks is None:
         chunks = default_chunk_count(graph, workers)
     chunk_bounds = plan_chunks(graph, chunks)
-    tasks = [(index, lo, hi)
-             for index, (lo, hi) in enumerate(chunk_bounds)]
 
     start_wall = time.perf_counter()
     anchor_rel = trace.now() if trace is not None else 0.0
-
-    attribute = attribution is not None
-    if workers == 1 or len(tasks) == 1:
-        effective_workers = 1
-        worker_reports = [
-            _execute_chunks(graph, tasks, 0, 1, collect, start_wall,
-                            attribute=attribute)
-        ]
-    else:
-        effective_workers = min(workers, len(tasks))
-        # Heartbeat monitoring is opt-in: an explicit policy, or
-        # implicitly a live (wall-clock) telemetry sampler.  Plain runs
-        # keep the exact pre-heartbeat code path.
-        policy = straggler
-        live_telemetry = (telemetry if telemetry is not None
-                          and telemetry.clock == "wall" else None)
-        if policy is None and live_telemetry is not None:
-            policy = StragglerPolicy()
-        monitor: HeartbeatMonitor | None = None
-        if policy is not None:
-            monitor = HeartbeatMonitor(
-                policy,
-                workers=effective_workers,
-                total_chunks=len(tasks),
-                registry=(report.registry if report is not None
-                          else live_telemetry.registry
-                          if live_telemetry is not None else None),
-                tracer=trace,
-            )
-            if live_telemetry is not None:
-                live_telemetry.add_provider("workers", monitor.provider)
-        shared = SharedCSR.publish(graph)
-        ctx = mp.get_context("fork")
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        hb_queue = ctx.Queue() if monitor is not None else None
-        processes: list = []
-        failed = False
-        try:
-            for task in tasks:
-                task_queue.put(task)
-            for _ in range(effective_workers):
-                task_queue.put(None)
-            processes = [
-                ctx.Process(
-                    target=_worker_main,
-                    args=(shared.handle, effective_workers, worker_id,
-                          collect, start_wall, task_queue, result_queue,
-                          hb_queue,
-                          policy.inject_chunk_delay
-                          if policy is not None
-                          and policy.inject_worker == worker_id else 0.0,
-                          attribute),
-                    name=f"parallel-w{worker_id}",
-                )
-                for worker_id in range(effective_workers)
-            ]
-            for process in processes:
-                process.start()
-            # Drain results *before* join: a worker blocks in put() until
-            # the parent reads, so the reverse order deadlocks on big
-            # payloads.
-            if monitor is None:
-                worker_reports = [result_queue.get() for _ in processes]
-            else:
-                worker_reports = _monitored_drain(
-                    processes, result_queue, hb_queue, monitor, policy,
-                    live_telemetry, start_wall,
-                )
-            for process in processes:
-                process.join()
-        # Cleanup-and-reraise: even KeyboardInterrupt must terminate the
-        # workers and discard the queues, or the interpreter hangs at
-        # exit on the feeder threads.  # lint: ignore[error-types]
-        except BaseException:
-            failed = True
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join()
-            raise
-        finally:
-            shared.close()
-            shared.unlink()
-            _close_queue(task_queue, discard=failed)
-            _close_queue(result_queue, discard=failed)
-            _close_queue(hb_queue, discard=failed)
-
-    triangles, ops, parallel_result = _merge(
-        worker_reports, chunk_bounds, effective_workers, sink, collect,
-        report, trace, anchor_rel, telemetry, attribution,
+    scope = dict(phase="parallel", kernel="hash", source="shm")
+    live_telemetry = (telemetry if telemetry is not None
+                      and telemetry.clock == "wall" else None)
+    parallel_result = run_pool(
+        _GraphHandle(graph), chunk_bounds, workers=workers, kernel="hash",
+        collect=collect, anchor=start_wall,
+        scope=scope if attribution is not None else None,
+        straggler=straggler, telemetry=live_telemetry,
+        registry=(report.registry if report is not None
+                  else live_telemetry.registry
+                  if live_telemetry is not None else None),
+        trace=trace,
     )
+    triangles, ops = _merge(parallel_result, sink, collect, report, trace,
+                            anchor_rel, telemetry, attribution)
     elapsed = time.perf_counter() - start_wall
     if attribution is not None:
-        attribution.scope(phase="parallel", kernel="hash",
-                          source="shm").charge_time(elapsed)
+        attribution.scope(**scope).charge_time(elapsed)
     extra = {
-        "workers": effective_workers,
+        "workers": parallel_result.workers,
         "chunks": list(chunk_bounds),
         "steals": parallel_result.steals,
         "parallel": parallel_result,
@@ -663,7 +677,7 @@ def triangulate_parallel(
     if report is not None:
         if resolved_ordering is not None:
             report.meta.setdefault("parallel.ordering", resolved_ordering)
-        report.gauge("parallel.workers").set(effective_workers)
+        report.gauge("parallel.workers").set(parallel_result.workers)
         report.gauge("run.elapsed_wall").set(elapsed)
         extra["report"] = report
     return TriangulationResult(

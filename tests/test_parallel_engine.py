@@ -176,9 +176,29 @@ class TestEdgeCases:
         assert result.triangles == 5
         assert result.extra["workers"] <= figure1.num_vertices
 
+    def test_more_chunks_than_vertices_plan(self, figure1):
+        """Asking for more chunks than vertices still covers the vertex
+        range with non-empty chunks."""
+        bounds = plan_chunks(figure1, figure1.num_vertices + 10)
+        covered = [v for lo, hi in bounds for v in range(lo, hi)]
+        assert covered == list(range(figure1.num_vertices))
+        assert all(hi > lo for lo, hi in bounds)
+
+    def test_edgeless_graph_is_one_chunk(self):
+        """No successor mass to balance: one full-range chunk, not
+        several empty ones."""
+        edgeless = Graph(np.zeros(6, dtype=np.int64),
+                         np.array([], dtype=np.int32))
+        assert plan_chunks(edgeless, 4) == [(0, edgeless.num_vertices)]
+        assert triangulate_parallel(edgeless, workers=4).triangles == 0
+
     def test_worker_validation(self, figure1):
         with pytest.raises(ConfigurationError):
             triangulate_parallel(figure1, workers=0)
+
+    def test_zero_chunk_count_rejected(self, figure1):
+        with pytest.raises(ConfigurationError):
+            plan_chunks(figure1, 0)
 
     def test_sim_clock_tracer_rejected(self, figure1):
         from repro.obs.trace import EventTracer
@@ -262,6 +282,13 @@ class TestObsMerge:
 
 
 class TestFailurePropagation:
+    """A crash inside the pool's chunk loop, for both entry points.
+
+    The worker loop calls ``run_range`` through the engine module's
+    namespace; fork inherits the patched module, so the failure happens
+    on the worker side of the queue protocol.
+    """
+
     def test_worker_failure_raises_and_leaks_nothing(self, zoo, monkeypatch):
         """A crashing worker surfaces as ParallelError, segments unlinked."""
         import os
@@ -271,9 +298,7 @@ class TestFailurePropagation:
         def boom(*args, **kwargs):
             raise ValueError("injected chunk failure")
 
-        # Fork inherits the patched module, so the failure happens on the
-        # worker side of the queue protocol.
-        monkeypatch.setattr(engine_mod, "count_chunk", boom)
+        monkeypatch.setattr(engine_mod, "run_range", boom)
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(ParallelError, match="injected chunk failure"):
             triangulate_parallel(zoo["figure1"], workers=2)
@@ -285,6 +310,26 @@ class TestFailurePropagation:
         def boom(*args, **kwargs):
             raise ValueError("injected")
 
-        monkeypatch.setattr(engine_mod, "count_chunk", boom)
+        monkeypatch.setattr(engine_mod, "run_range", boom)
         with pytest.raises(ParallelError, match=r"w\d+: ValueError"):
             triangulate_parallel(zoo["figure1"], workers=2)
+
+    def test_process_executor_failure_raises_and_leaks_nothing(
+            self, zoo, monkeypatch):
+        """The composed process cell runs on the same pool: same funnel."""
+        import os
+
+        import repro.parallel.engine as engine_mod
+        from repro.exec import compose
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected chunk failure")
+
+        monkeypatch.setattr(engine_mod, "run_range", boom)
+        before = set(os.listdir("/dev/shm"))
+        engine = compose("shm", "hash", "process", graph=zoo["figure1"],
+                         workers=2)
+        with pytest.raises(ParallelError,
+                           match=r"w\d+: ValueError: injected chunk failure"):
+            engine.run()
+        assert set(os.listdir("/dev/shm")) <= before
