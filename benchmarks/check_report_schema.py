@@ -10,11 +10,14 @@ run-to-run perf comparisons never silently break.  It runs three ways:
 * from the tier-1 suite via ``tests/test_report_schema.py``, which
   imports :func:`validate_results_dir` directly.
 
-Beyond the RunReport payloads it also covers the profiler's artifacts:
-an embedded ``derived.attribution`` snapshot validates against the
-attribution schema, ``PROFILE_*.speedscope.json`` flame profiles against
-the speedscope format, and ``*perf_history*.jsonl`` indexes against the
-perf-history record schema.
+Each RunReport payload must also load back through
+:meth:`RunReport.from_dict`, re-serialize to the same JSON value, and
+render its ASCII summary.  Beyond the RunReport payloads it also covers
+the profiler's artifacts: an embedded ``derived.attribution`` snapshot
+validates against the attribution schema, ``PROFILE_*.speedscope.json``
+flame profiles against the speedscope format, and
+``*perf_history*.jsonl`` indexes against the perf-history record
+schema.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 from pathlib import Path
 
 from repro.obs import (
+    RunReport,
     validate_attribution_dict,
     validate_report_dict,
     validate_speedscope,
@@ -58,6 +62,19 @@ def validate_profile_file(path: str | Path) -> list[str]:
     return [f"{path.name}: {error}" for error in validate_speedscope(data)]
 
 
+def _round_trip_errors(payload: dict) -> list[str]:
+    """Errors loading a schema-valid *payload* back through RunReport.
+
+    The report must re-serialize to the same JSON value and render its
+    ASCII summary — the path ``opt-repro report --run`` takes.
+    """
+    report = RunReport.from_dict(payload)
+    if json.loads(report.to_json()) != payload:
+        return ["does not round-trip through RunReport"]
+    report.summary()
+    return []
+
+
 def validate_file(path: str | Path) -> list[str]:
     """Schema errors in one file (empty list = valid).
 
@@ -84,6 +101,9 @@ def validate_file(path: str | Path) -> list[str]:
             validate_report_dict(payload)
         except ValueError as exc:
             errors.append(f"{path.name}[{index}]: {exc}")
+        else:
+            errors.extend(f"{path.name}[{index}]: {error}"
+                          for error in _round_trip_errors(payload))
         attribution = (payload.get("derived", {}).get("attribution")
                        if isinstance(payload, dict) else None)
         if attribution is not None:

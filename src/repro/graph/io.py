@@ -5,18 +5,25 @@ The text formats are the usual whitespace-separated ``u v`` edge list
 both transparently support gzip compression when the path ends in
 ``.gz``.  The binary format is a little-endian CSR dump with a magic
 header, suitable for fast reloads of large generated graphs.
+
+Every reader fails on a malformed input with :class:`GraphFormatError`
+(or the :class:`~repro.errors.GraphError` the graph builder raises),
+never with a decoder's own exception or a silently different graph.
 """
 
 from __future__ import annotations
 
 import gzip
+import os
 import struct
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 
@@ -36,8 +43,27 @@ def _open_text(path: Path, mode: str) -> IO[str]:
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
+
+#: What reading a text input can raise besides the parsers' own errors:
+#: a ``.gz`` that is not gzip or is cut short, bytes that are not UTF-8,
+#: and (from the builder) a vertex id too large for an int64.
+_UNREADABLE = (gzip.BadGzipFile, EOFError, zlib.error, UnicodeDecodeError,
+               OverflowError)
+
+
+@contextmanager
+def _reading(path: Path) -> Iterator[IO[str]]:
+    """Open *path* for parsing; decoder failures become GraphFormatError."""
+    try:
+        with _open_text(path, "r") as handle:
+            yield handle
+    except _UNREADABLE as exc:
+        raise GraphFormatError(f"{path}: unreadable graph input: {exc}") from exc
+
+
 _BINARY_MAGIC = b"OPTG"
 _BINARY_VERSION = 1
+_BINARY_HEADER = struct.Struct("<IQQ")
 
 
 def write_edge_list(graph: Graph, path: str | Path, *, header: bool = True) -> None:
@@ -59,7 +85,7 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Grap
     """
     path = Path(path)
     builder = GraphBuilder(num_vertices)
-    with _open_text(path, "r") as handle:
+    with _reading(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("#", "%")):
@@ -72,7 +98,7 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Grap
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from exc
             builder.add_edge(u, v)
-    return builder.build()
+        return builder.build()
 
 
 def write_adjacency(graph: Graph, path: str | Path) -> None:
@@ -90,7 +116,7 @@ def read_adjacency(path: str | Path) -> Graph:
     path = Path(path)
     builder = GraphBuilder()
     max_vertex = -1
-    with _open_text(path, "r") as handle:
+    with _reading(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("#", "%")):
@@ -103,16 +129,18 @@ def read_adjacency(path: str | Path) -> Graph:
                 neighbors = [int(token) for token in rest.split()]
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: non-integer id") from exc
-            max_vertex = max(max_vertex, u, *(neighbors or [u]))
+            if u < 0 or min(neighbors, default=0) < 0:
+                raise GraphFormatError(f"{path}:{lineno}: negative vertex id")
+            max_vertex = max(max_vertex, u, *neighbors)
             for v in neighbors:
                 if u < v:  # the reverse direction appears on v's line
                     builder.add_edge(u, v)
-    graph = builder.build()
-    if graph.num_vertices < max_vertex + 1:
-        # Preserve trailing isolated vertices.
-        rebuilt = GraphBuilder(max_vertex + 1)
-        rebuilt.add_edges(graph.edges())
-        return rebuilt.build()
+        graph = builder.build()
+        if graph.num_vertices < max_vertex + 1:
+            # Preserve trailing isolated vertices.
+            rebuilt = GraphBuilder(max_vertex + 1)
+            rebuilt.add_edges(graph.edges())
+            return rebuilt.build()
     return graph
 
 
@@ -121,25 +149,38 @@ def write_binary(graph: Graph, path: str | Path) -> None:
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<IQQ", _BINARY_VERSION,
-                                 graph.num_vertices, len(graph.indices)))
+        handle.write(_BINARY_HEADER.pack(_BINARY_VERSION, graph.num_vertices,
+                                         len(graph.indices)))
         handle.write(graph.indptr.astype("<i8").tobytes())
         handle.write(graph.indices.astype("<i8").tobytes())
 
 
 def read_binary(path: str | Path) -> Graph:
-    """Load a graph written by :func:`write_binary`."""
+    """Load a graph written by :func:`write_binary`.
+
+    The declared sizes are checked against the file size before anything
+    is read, and the CSR goes through :class:`Graph`'s full validation.
+    """
     path = Path(path)
     with path.open("rb") as handle:
         magic = handle.read(4)
         if magic != _BINARY_MAGIC:
             raise GraphFormatError(f"{path}: bad magic {magic!r}")
-        header = handle.read(struct.calcsize("<IQQ"))
-        version, num_vertices, num_entries = struct.unpack("<IQQ", header)
+        header = handle.read(_BINARY_HEADER.size)
+        if len(header) != _BINARY_HEADER.size:
+            raise GraphFormatError(f"{path}: truncated header")
+        version, num_vertices, num_entries = _BINARY_HEADER.unpack(header)
         if version != _BINARY_VERSION:
             raise GraphFormatError(f"{path}: unsupported version {version}")
-        indptr = np.frombuffer(handle.read((num_vertices + 1) * 8), dtype="<i8")
-        indices = np.frombuffer(handle.read(num_entries * 8), dtype="<i8")
-        if len(indptr) != num_vertices + 1 or len(indices) != num_entries:
-            raise GraphFormatError(f"{path}: truncated file")
-    return Graph(indptr.astype(np.int64), indices.astype(np.int64), validate=False)
+        expected = 4 + _BINARY_HEADER.size + 8 * (num_vertices + 1 + num_entries)
+        actual = os.fstat(handle.fileno()).st_size
+        if actual != expected:
+            raise GraphFormatError(
+                f"{path}: header declares {num_vertices} vertices and "
+                f"{num_entries} entries ({expected} bytes), file has {actual}"
+            )
+        data = np.frombuffer(handle.read(), dtype="<i8").astype(np.int64)
+    try:
+        return Graph(data[:num_vertices + 1], data[num_vertices + 1:])
+    except GraphError as exc:
+        raise GraphFormatError(f"{path}: invalid CSR: {exc}") from exc

@@ -6,14 +6,16 @@ through this package so that one run produces one comparable artifact:
 
 * :class:`MetricsRegistry` — dependency-free counters, gauges, and
   histograms with labels, safe to update from the SSD callback thread;
-* :class:`SpanTracker` / ``span()`` — hierarchical phase timing carrying
-  both wall-clock seconds and simulated seconds in the same tree;
-* :class:`RunReport` — the export path: JSON / JSONL serialization, an
-  ASCII summary table, and a stable schema that ``BENCH_*.json``
-  trajectory files and the CLI's ``--report`` flag share;
 * :class:`EventTracer` — causal event tracing on both timelines, with
   Chrome ``trace_event`` (Perfetto) export, an ASCII Gantt renderer,
-  and overlap analytics (:mod:`repro.obs.trace`);
+  and overlap analytics (:mod:`repro.obs.trace`); its complete events
+  are the one record of phase time, and :func:`span_tree` nests them
+  into a tree carrying wall-clock and simulated seconds;
+* :class:`RunReport` — the export path: ``report.span()`` records onto
+  the report's own wall-clock tracer (``report.tracer``); JSON / JSONL
+  serialization, an ASCII summary table, and a stable schema that
+  ``BENCH_*.json`` trajectory files and the CLI's ``--report`` flag
+  share;
 * :mod:`repro.obs.vocab` — the canonical metric / trace-event name
   vocabulary every emitter must draw from (statically enforced by the
   ``obs-vocab`` rule of :mod:`repro.lint`).
@@ -54,7 +56,6 @@ from repro.obs.report import (
     validate_report_dict,
 )
 from repro.obs.series import Series, SeriesBank
-from repro.obs.spans import Span, SpanTracker
 from repro.obs.telemetry import TelemetrySampler, fold_telemetry
 from repro.obs.trace import (
     TRACE_SCHEMA_NAME,
@@ -65,6 +66,7 @@ from repro.obs.trace import (
     fold_trace_analytics,
     from_chrome_trace,
     overlap_analytics,
+    span_tree,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
@@ -99,8 +101,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Series",
     "SeriesBank",
-    "Span",
-    "SpanTracker",
     "StackSampler",
     "TRACE_SCHEMA_NAME",
     "TRACE_SCHEMA_VERSION",
@@ -121,6 +121,7 @@ __all__ = [
     "render_attribution",
     "render_top",
     "render_trend",
+    "span_tree",
     "to_chrome_trace",
     "to_speedscope",
     "validate_attribution_dict",

@@ -1,7 +1,8 @@
 """RunReport: one serializable artifact per run, with a stable schema.
 
-Everything an engine measures — the metrics registry, the span tree, any
-derived figures (``overhead_vs_ideal``) — lands in one :class:`RunReport`
+Everything an engine measures — the metrics registry, the phase events
+its span tree is derived from, any derived figures
+(``overhead_vs_ideal``) — lands in one :class:`RunReport`
 that serializes to JSON (one report per file), appends to JSONL (one
 report per line, the trajectory format ``BENCH_*.json`` files use), and
 renders an ASCII summary for terminals.
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Span, SpanTracker
+from repro.obs.trace import EventTracer, span_tree
 
 __all__ = ["RunReport", "SCHEMA_NAME", "SCHEMA_VERSION", "validate_report_dict"]
 
@@ -27,7 +28,14 @@ SCHEMA_VERSION = 1
 
 
 class RunReport:
-    """A run's metrics, span tree, metadata, and derived figures."""
+    """A run's metrics, phase events, metadata, and derived figures.
+
+    Phase time is recorded only as complete events on ``self.tracer``, a
+    wall-clock :class:`~repro.obs.trace.EventTracer`: :meth:`span` times
+    a ``with`` body on the calling thread's track, and the simulated
+    engine writes its timeline onto ``sim/…`` lanes with explicit
+    timestamps.  :attr:`spans` nests those events into the tree.
+    """
 
     def __init__(
         self,
@@ -35,19 +43,29 @@ class RunReport:
         *,
         meta: dict | None = None,
         registry: MetricsRegistry | None = None,
-        spans: SpanTracker | None = None,
         derived: dict | None = None,
     ):
         self.label = label
         self.meta: dict = dict(meta or {})
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanTracker()
+        self.tracer = EventTracer.wall()
         self.derived: dict = dict(derived or {})
+        # Set by from_dict: a deserialized report keeps its stored
+        # metrics and span tree verbatim.
+        self._snapshot_override: dict | None = None
+        self._stored_spans: list[dict] | None = None
+
+    @property
+    def spans(self) -> list[dict]:
+        """The serialized span tree (see :func:`repro.obs.trace.span_tree`)."""
+        if self._stored_spans is not None:
+            return self._stored_spans
+        return span_tree(self.tracer)
 
     # -- recording shortcuts -------------------------------------------------
 
     def span(self, name: str, **attrs):
-        return self.spans.span(name, **attrs)
+        return self.tracer.slice(name, **attrs)
 
     def counter(self, name: str, **labels):
         return self.registry.counter(name, **labels)
@@ -71,7 +89,7 @@ class RunReport:
             "label": self.label,
             "meta": self.meta,
             "metrics": self.registry.snapshot(),
-            "spans": self.spans.to_list(),
+            "spans": self.spans,
             "derived": self.derived,
         }
 
@@ -81,16 +99,17 @@ class RunReport:
         report = cls(
             data.get("label", "run"),
             meta=data.get("meta", {}),
-            spans=SpanTracker.from_list(data.get("spans", [])),
             derived=data.get("derived", {}),
         )
-        report._snapshot_override = data["metrics"]  # type: ignore[attr-defined]
+        report._snapshot_override = data["metrics"]
+        report._stored_spans = data["spans"]
         return report
 
     def metrics_snapshot(self) -> dict:
         """The metrics as plain dicts (live registry or deserialized)."""
-        override = getattr(self, "_snapshot_override", None)
-        return override if override is not None else self.registry.snapshot()
+        if self._snapshot_override is not None:
+            return self._snapshot_override
+        return self.registry.snapshot()
 
     def counter_value(self, key: str) -> int:
         """Look up a serialized counter by its formatted key."""
@@ -162,20 +181,21 @@ class RunReport:
     def _render_spans(self, *, max_lines: int = 60) -> str:
         lines: list[str] = []
 
-        def render(span: Span, depth: int) -> None:
+        def render(span: dict, depth: int) -> None:
             if len(lines) >= max_lines:
                 return
-            wall = "-" if span.wall_elapsed is None else f"{span.wall_elapsed:.4f}"
-            sim = "-" if span.sim_elapsed is None else f"{span.sim_elapsed:.4f}"
+            wall, sim = span.get("wall_elapsed"), span.get("sim_elapsed")
+            wall = "-" if wall is None else f"{wall:.4f}"
+            sim = "-" if sim is None else f"{sim:.4f}"
             attrs = ""
-            if span.attrs:
-                inner = ", ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
+            if span.get("attrs"):
+                inner = ", ".join(f"{k}={v}" for k, v in sorted(span["attrs"].items()))
                 attrs = f"  [{inner}]"
-            lines.append(f"{'  ' * depth}{span.name}: {wall} / {sim}{attrs}")
-            for child in span.children:
+            lines.append(f"{'  ' * depth}{span['name']}: {wall} / {sim}{attrs}")
+            for child in span.get("children", []):
                 render(child, depth + 1)
 
-        for root in self.spans.roots:
+        for root in self.spans:
             render(root, 0)
         if len(lines) >= max_lines:
             lines.append("... (span tree truncated)")
@@ -185,21 +205,27 @@ class RunReport:
         """Bar chart of simulated seconds per phase, if any.
 
         Collapses leaf spans by name, so per-iteration fill /
-        internal-triangulation / external-triangulation children sum
+        internal-triangulation / external-triangulation spans sum
         into one bar per phase.
         """
         from repro.analysis.ascii_chart import bar_chart
 
         totals: dict[str, float] = {}
-        for root in self.spans.roots:
-            for span in root.iter():
-                if span.children or not span.sim_elapsed:
-                    continue
-                totals[span.name] = totals.get(span.name, 0.0) + span.sim_elapsed
+        for span in _walk(self.spans):
+            if span.get("children") or not span.get("sim_elapsed"):
+                continue
+            totals[span["name"]] = totals.get(span["name"], 0.0) + span["sim_elapsed"]
         if not totals:
             return None
         return bar_chart(list(totals), list(totals.values()),
                          unit="s", title="simulated seconds by phase")
+
+
+def _walk(spans: list[dict]):
+    """Yield every serialized span in *spans*, depth first."""
+    for span in spans:
+        yield span
+        yield from _walk(span.get("children", []))
 
 
 def validate_report_dict(data: dict) -> None:

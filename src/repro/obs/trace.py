@@ -1,12 +1,13 @@
 """Causal event tracing: discrete timestamped events on both timelines.
 
-Where :mod:`repro.obs.spans` aggregates *durations* into a tree, this
-module records *when things happened* — the raw material for showing the
-paper's temporal claims.  OPT's whole argument is about concurrency:
-internal CPU work overlapping outstanding SSD reads (macro level), and
-arrived-page CPU work overlapping the remaining requests (micro level).
-A span tree cannot show two phases running at the same instant; an event
-timeline can.
+This module records *when things happened* — the raw material for
+showing the paper's temporal claims.  OPT's whole argument is about
+concurrency: internal CPU work overlapping outstanding SSD reads (macro
+level), and arrived-page CPU work overlapping the remaining requests
+(micro level).  A tree of durations cannot show two phases running at
+the same instant; an event timeline can.  The tracer's complete events
+are also the only record of phase time: :func:`span_tree` nests them
+into the span tree a :class:`~repro.obs.report.RunReport` serializes.
 
 One :class:`EventTracer` records the shared **event vocabulary** both
 engines emit:
@@ -29,6 +30,12 @@ event name             ph    meaning
 ``recovery.timeout``   i     a read missed its deadline
 ``recovery.fallback``  i     timed-out read degraded to a synchronous re-read
 =====================  ====  =====================================================
+
+A :class:`~repro.obs.report.RunReport`'s own tracer also carries the
+simulated phase timeline of ``sim/schedule.py``: ``simulate`` (the whole
+replay), ``iteration`` and ``fill`` on ``sim/run``, and the overlapping
+``internal-triangulation`` / ``external-triangulation`` phases on lanes
+of their own (``sim/internal``, ``sim/external``).
 
 Every event carries a *track* — a thread name on the real engine
 (``MainThread``, ``ssd-reader-0``, ``ssd-callback``), a simulated
@@ -67,7 +74,6 @@ from pathlib import Path
 
 from repro.obs.vocab import (
     EXTERNAL_CPU_EVENTS,
-    TRACE_EVENT_NAMES,
     WORK_EVENTS,
     is_trace_event_name,
 )
@@ -81,6 +87,7 @@ __all__ = [
     "fold_trace_analytics",
     "from_chrome_trace",
     "overlap_analytics",
+    "span_tree",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -88,10 +95,6 @@ __all__ = [
 
 TRACE_SCHEMA_NAME = "repro.obs/trace"
 TRACE_SCHEMA_VERSION = 1
-
-# WORK_EVENTS / EXTERNAL_CPU_EVENTS historically lived here; they are
-# defined in repro.obs.vocab (the single source of truth for every
-# metric and event name) and re-imported above for compatibility.
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,40 @@ def _as_events(source) -> list[TraceEvent]:
     if isinstance(source, EventTracer):
         return source.events()
     return list(source)
+
+
+def span_tree(source) -> list[dict]:
+    """Nest the complete events of *source* into the serialized span tree.
+
+    Nesting follows Perfetto's rule, per track (a thread name or a
+    ``sim/…`` lane): an event is the child of the innermost event on its
+    track still open when it starts.  Events are visited in
+    ``(ts, -dur, -seq)`` order, so of two events sharing a start the
+    longer one — or, on a tie, the later recorded one, since an
+    enclosing ``slice`` completes after its children — is the parent.
+    Durations on ``sim/`` tracks fill ``sim_elapsed``, all others
+    ``wall_elapsed``.  Roots are grouped by track, in order of each
+    track's first recorded event; instants are ignored.
+    """
+    tracks: dict[str, list[TraceEvent]] = {}
+    for event in _as_events(source):
+        if event.dur is not None:
+            tracks.setdefault(event.track, []).append(event)
+    roots: list[dict] = []
+    for track, events in tracks.items():
+        clock = "sim_elapsed" if track.startswith("sim/") else "wall_elapsed"
+        open_spans: list[tuple[float, dict]] = []  # (end, node), innermost last
+        for event in sorted(events, key=lambda e: (e.ts, -e.dur, -e.seq)):
+            node = {"name": event.name, "attrs": dict(event.args),
+                    "wall_elapsed": None, "sim_elapsed": None,
+                    "children": []}
+            node[clock] = event.dur
+            while open_spans and event.ts >= open_spans[-1][0]:
+                open_spans.pop()
+            siblings = open_spans[-1][1]["children"] if open_spans else roots
+            siblings.append(node)
+            open_spans.append((event.end, node))
+    return roots
 
 
 # ---------------------------------------------------------------------------

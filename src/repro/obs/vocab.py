@@ -133,6 +133,10 @@ TRACE_EVENT_NAMES = frozenset({
     "fill",
     "internal",
     "external",
+    # simulated phases a RunReport's tracer records (sim/schedule.py)
+    "simulate",
+    "internal-triangulation",
+    "external-triangulation",
     "read.submit",
     "read.service",
     "read.callback",

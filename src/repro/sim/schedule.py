@@ -377,20 +377,27 @@ def simulate(
 
 def _record(result: SimResult, timings: list[IterationTiming], stats: dict,
             report) -> None:
-    """Map one replay into *report*: simulated span tree plus counters."""
-    parent = report.spans.add(
-        "simulate", sim_elapsed=result.elapsed, cores=result.cores,
-        morphing=result.morphing, serial=result.serial,
-    )
+    """Map one replay into *report*: simulated phase events plus counters.
+
+    The two triangulation phases overlap inside an iteration, so each
+    gets its own ``sim/`` lane; everything else nests on ``sim/run``.
+    Children are recorded before their parents, as a ``slice`` would.
+    """
+    tracer = report.tracer
+    offset = 0.0
     for index, timing in enumerate(timings):
-        iteration = report.spans.add("iteration", parent=parent,
-                                     sim_elapsed=timing.elapsed, index=index)
-        report.spans.add("fill", parent=iteration,
-                         sim_elapsed=timing.fill_time)
-        report.spans.add("internal-triangulation", parent=iteration,
-                         sim_elapsed=timing.internal_time)
-        report.spans.add("external-triangulation", parent=iteration,
-                         sim_elapsed=timing.external_time)
+        tracer.complete("fill", offset, timing.fill_time, track="sim/run")
+        tracer.complete("iteration", offset, timing.elapsed,
+                        track="sim/run", index=index)
+        start = offset + timing.fill_time
+        tracer.complete("internal-triangulation", start, timing.internal_time,
+                        track="sim/internal")
+        tracer.complete("external-triangulation", start, timing.external_time,
+                        track="sim/external")
+        offset += timing.elapsed
+    tracer.complete("simulate", 0.0, result.elapsed, track="sim/run",
+                    cores=result.cores, morphing=result.morphing,
+                    serial=result.serial)
     report.counter("sim.device_reads").inc(
         sum(t.device_reads for t in timings)
     )

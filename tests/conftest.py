@@ -84,3 +84,19 @@ def nx_triangle_count(graph):
     nxg = nx.Graph(list(graph.edges()))
     nxg.add_nodes_from(range(graph.num_vertices))
     return sum(nx.triangles(nxg).values()) // 3
+
+
+def find_span(spans, name):
+    """Depth-first search of a serialized span tree for *name*, or None."""
+    for span in spans:
+        if span["name"] == name:
+            return span
+        found = find_span(span["children"], name)
+        if found is not None:
+            return found
+    return None
+
+
+def child_span(span, name):
+    """First direct child of a serialized span named *name*, or None."""
+    return next((c for c in span["children"] if c["name"] == name), None)

@@ -9,13 +9,15 @@ import time
 import pytest
 
 from repro.obs import (
+    EventTracer,
     MetricsRegistry,
     RunReport,
-    SpanTracker,
     configure_logging,
     get_logger,
+    span_tree,
     validate_report_dict,
 )
+from tests.conftest import child_span, find_span
 
 
 class TestCounters:
@@ -217,53 +219,90 @@ class TestThreadSafety:
         assert histogram.count == per_thread * threads
 
     def test_spans_from_other_threads_do_not_corrupt_nesting(self):
-        tracker = SpanTracker()
+        tracer = EventTracer.wall()
         done = threading.Event()
 
         def other():
-            with tracker.span("other-thread"):
+            with tracer.slice("other-thread"):
                 pass
             done.set()
 
-        with tracker.span("main"):
+        with tracer.slice("main"):
             thread = threading.Thread(target=other)
             thread.start()
             done.wait(5)
             thread.join()
-            with tracker.span("child"):
+            with tracer.slice("child"):
                 pass
-        main = tracker.find("main")
-        assert main.child("child") is not None
-        assert main.child("other-thread") is None  # attached as its own root
-        assert tracker.find("other-thread") is not None
+        tree = span_tree(tracer)
+        main = find_span(tree, "main")
+        assert child_span(main, "child") is not None
+        assert child_span(main, "other-thread") is None  # its own root
+        assert find_span(tree, "other-thread") in tree
 
 
 class TestSpans:
-    def test_nested_wall_timing(self):
-        tracker = SpanTracker()
-        with tracker.span("outer"):
-            with tracker.span("inner"):
-                time.sleep(0.01)
-        outer = tracker.find("outer")
-        inner = outer.child("inner")
-        assert inner is not None
-        assert inner.wall_elapsed >= 0.01
-        assert outer.wall_elapsed >= inner.wall_elapsed
+    """The span tree derived from a tracer's complete events."""
 
-    def test_simulated_spans_and_total(self):
-        tracker = SpanTracker()
-        parent = tracker.add("simulate")
-        tracker.add("fill", parent=parent, sim_elapsed=1.0)
-        tracker.add("external", parent=parent, sim_elapsed=2.5)
-        assert parent.total_sim() == 3.5
+    def test_nested_wall_timing(self):
+        tracer = EventTracer.wall()
+        with tracer.slice("outer"):
+            with tracer.slice("inner"):
+                time.sleep(0.01)
+        outer = find_span(span_tree(tracer), "outer")
+        inner = child_span(outer, "inner")
+        assert inner is not None
+        assert inner["wall_elapsed"] >= 0.01
+        assert outer["wall_elapsed"] >= inner["wall_elapsed"]
+        assert outer["sim_elapsed"] is None
+
+    def test_simulated_spans_fill_sim_elapsed(self):
+        tracer = EventTracer.wall()
+        tracer.complete("fill", 0.0, 1.0, track="sim/run")
+        tracer.complete("external", 1.0, 2.5, track="sim/run")
+        tracer.complete("simulate", 0.0, 3.5, track="sim/run")
+        tracer.complete("fill", 0.0, 0.25, track="MainThread")
+        sim, wall = span_tree(tracer)
+        assert sim["name"] == "simulate"
+        assert (sim["sim_elapsed"], sim["wall_elapsed"]) == (3.5, None)
+        assert [(c["name"], c["sim_elapsed"]) for c in sim["children"]] == \
+            [("fill", 1.0), ("external", 2.5)]
+        assert (wall["wall_elapsed"], wall["sim_elapsed"]) == (0.25, None)
+
+    def test_shared_start_longer_event_is_the_parent(self):
+        tracer = EventTracer.wall()
+        tracer.complete("long", 1.0, 2.0, track="t")
+        tracer.complete("short", 1.0, 0.5, track="t")
+        tracer.complete("next", 3.0, 1.0, track="t")
+        tree = span_tree(tracer)
+        assert [span["name"] for span in tree] == ["long", "next"]
+        assert [c["name"] for c in tree[0]["children"]] == ["short"]
+
+    def test_overlap_on_separate_tracks_does_not_nest(self):
+        """Two phases running at once stay roots on their own lanes."""
+        tracer = EventTracer.wall()
+        tracer.complete("internal-triangulation", 1.0, 2.0,
+                        track="sim/internal")
+        tracer.complete("external-triangulation", 1.0, 3.0,
+                        track="sim/external")
+        tree = span_tree(tracer)
+        assert [span["name"] for span in tree] == \
+            ["internal-triangulation", "external-triangulation"]
+        assert all(not span["children"] for span in tree)
+
+    def test_instants_are_ignored(self):
+        tracer = EventTracer.wall()
+        tracer.instant("buffer.hit", ts=0.5, track="t")
+        tracer.complete("fill", 0.0, 1.0, track="t")
+        assert [span["name"] for span in span_tree(tracer)] == ["fill"]
 
     def test_attrs_round_trip(self):
-        tracker = SpanTracker()
-        with tracker.span("phase", index=3, plugin="edge-iterator"):
+        report = RunReport("attrs")
+        with report.span("phase", index=3, plugin="edge-iterator"):
             pass
-        restored = SpanTracker.from_list(tracker.to_list())
-        span = restored.find("phase")
-        assert span.attrs == {"index": 3, "plugin": "edge-iterator"}
+        restored = RunReport.from_json(report.to_json())
+        span = find_span(restored.spans, "phase")
+        assert span["attrs"] == {"index": 3, "plugin": "edge-iterator"}
 
     def test_callback_thread_span_after_main_tree_closed(self):
         """A late span from a callback thread becomes its own root.
@@ -272,15 +311,15 @@ class TestSpans:
         span tree (e.g. a read completing right at the barrier): opening
         a span there must not crash or graft onto the closed tree.
         """
-        tracker = SpanTracker()
-        with tracker.span("run"):
+        tracer = EventTracer.wall()
+        with tracer.slice("run"):
             pass  # main tree opened and closed
 
         errors: list[BaseException] = []
 
         def late_callback():
             try:
-                with tracker.span("read.callback", pid=42):
+                with tracer.slice("read.callback", pid=42):
                     pass
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -289,32 +328,31 @@ class TestSpans:
         worker.start()
         worker.join()
         assert not errors
-        names = [span.name for span in tracker.roots]
-        assert names == ["run", "read.callback"]
-        assert tracker.find("run").child("read.callback") is None
+        tree = span_tree(tracer)
+        assert [span["name"] for span in tree] == ["run", "read.callback"]
+        assert child_span(find_span(tree, "run"), "read.callback") is None
 
     def test_thread_local_stacks_do_not_cross_nest(self):
         """A span opened on another thread while the main span is still
-        open must not nest under it — stacks are per-thread."""
-        tracker = SpanTracker()
+        open must not nest under it — nesting is per track."""
+        tracer = EventTracer.wall()
         started = threading.Event()
         release = threading.Event()
 
         def worker():
-            with tracker.span("worker-span"):
+            with tracer.slice("worker-span"):
                 started.set()
                 release.wait(timeout=5)
 
         thread = threading.Thread(target=worker)
-        with tracker.span("main-span"):
+        with tracer.slice("main-span"):
             thread.start()
             assert started.wait(timeout=5)
             release.set()
             thread.join()
-        main = tracker.find("main-span")
-        assert main.child("worker-span") is None
-        assert {span.name for span in tracker.roots} == \
-            {"main-span", "worker-span"}
+        tree = span_tree(tracer)
+        assert child_span(find_span(tree, "main-span"), "worker-span") is None
+        assert {span["name"] for span in tree} == {"main-span", "worker-span"}
 
 
 class TestRunReport:
@@ -325,7 +363,7 @@ class TestRunReport:
         report.gauge("run.elapsed_simulated").set(0.5)
         report.histogram("ssd.queue.depth").observe(2)
         with report.span("run-opt"):
-            report.spans.add("simulate", sim_elapsed=0.5)
+            report.tracer.complete("simulate", 0.0, 0.5, track="sim/run")
         report.derive("overhead_vs_ideal", 1.04)
         return report
 
@@ -338,7 +376,7 @@ class TestRunReport:
         assert restored.derived["overhead_vs_ideal"] == 1.04
         assert restored.counter_value("ssd.pages_read") == 7
         assert restored.counter_value("triangles{phase=internal}") == 3
-        assert restored.spans.find("simulate").sim_elapsed == 0.5
+        assert find_span(restored.spans, "simulate")["sim_elapsed"] == 0.5
         # Serializing the deserialized report is the identity.
         assert restored.to_json() == text
 

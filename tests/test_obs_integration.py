@@ -18,6 +18,7 @@ from repro.memory import edge_iterator
 from repro.obs import RunReport, validate_report_dict
 from repro.sim import CostModel
 from repro.verify import verify_methods
+from tests.conftest import child_span, find_span
 
 PAGE_SIZE = 1024
 
@@ -61,17 +62,36 @@ class TestDiskEngineReport:
 
     def test_span_tree_has_all_phases(self, instrumented_run):
         report, _result = instrumented_run
-        run = report.spans.find("run-opt")
+        spans = report.spans
+        run = find_span(spans, "run-opt")
         assert run is not None
-        iteration = run.child("iteration")
+        iteration = child_span(run, "iteration")
         assert iteration is not None
         for phase in ("fill", "identify-candidates", "external-triangulation",
                       "internal-triangulation"):
-            assert iteration.child(phase) is not None, phase
-        simulate_span = report.spans.find("simulate")
+            assert child_span(iteration, phase) is not None, phase
+        simulate_span = find_span(spans, "simulate")
         assert simulate_span is not None
-        assert simulate_span.sim_elapsed == pytest.approx(
+        assert simulate_span["sim_elapsed"] == pytest.approx(
             report.derived["elapsed_simulated"])
+
+    def test_simulated_phases_sit_on_their_own_lanes(self, instrumented_run):
+        """``simulate → iteration → fill`` nests on one lane; the two
+        overlapping triangulation phases are per-iteration roots."""
+        report, result = instrumented_run
+        timings = result.extra["sim"].iterations
+        simulated = [s for s in report.spans if s["sim_elapsed"] is not None]
+        simulate = simulated[0]
+        assert simulate["name"] == "simulate"
+        assert [(it["attrs"]["index"], [c["name"] for c in it["children"]])
+                for it in simulate["children"]] == \
+            [(index, ["fill"]) for index in range(len(timings))]
+        for phase, field in (("internal-triangulation", "internal_time"),
+                             ("external-triangulation", "external_time")):
+            lane = [s for s in simulated if s["name"] == phase]
+            assert [s["sim_elapsed"] for s in lane] == \
+                [getattr(t, field) for t in timings]
+            assert all(not s["children"] for s in lane)
 
     def test_overhead_vs_ideal_derived(self, instrumented_run):
         report, result = instrumented_run
@@ -116,7 +136,7 @@ class TestThreadedEngineReport:
         histograms = report.metrics_snapshot()["histograms"]
         assert histograms["ssd.queue.depth"]["count"] == result.pages_read
         assert histograms["ssd.callback.latency"]["count"] == result.pages_read
-        assert report.spans.find("iteration") is not None
+        assert find_span(report.spans, "iteration") is not None
         exact = edge_iterator(small_rmat_ordered).triangles
         assert result.triangles == exact
 

@@ -108,6 +108,16 @@ def test_checker_flags_bad_payload(checker, tmp_path):
     assert errors and "schema" in errors[0]
 
 
+def test_checker_flags_report_that_does_not_round_trip(checker, tmp_path):
+    """A schema-valid payload RunReport cannot reproduce is an error."""
+    payload = json.loads(RunReport("lossy").to_json())
+    payload["unknown"] = 1  # dropped on the way through RunReport
+    path = tmp_path / "BENCH_lossy.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    errors = checker.validate_file(path)
+    assert errors and "round-trip" in errors[0]
+
+
 def test_telemetry_overhead_baseline_is_seeded(checker):
     """The committed telemetry-overhead artifact validates and its
     derived ratios honor the pipeline's overhead contract (<10% wall
