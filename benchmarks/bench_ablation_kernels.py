@@ -1,15 +1,16 @@
 """Ablation — intersection kernels (real wall-clock micro-benchmark).
 
 Unlike the simulated experiments, this one measures actual Python wall
-time: EdgeIterator≻ over the LJ stand-in with each intersection kernel
-(numpy, merge, hash, gallop, adaptive).  All kernels must produce
-identical triangle counts; the reported op counts follow each kernel's
-own measure — and the adaptive kernel's range-pruned Eq. 3 bill must
-come in at or below the hash reference's ``min(|a|, |b|)``.
+time: EdgeIterator≻ over the LJ stand-in with each kernel of
+:data:`repro.exec.registry.KERNELS` (hash, merge, gallop, and bitmap,
+an alias of hash).  All kernels
+must produce identical triangle counts; the reported op counts follow
+each kernel's own measure — and the hash kernel's bill must equal the
+closed-form Eq. 3 cost :func:`repro.graph.ordering.ordering_op_cost`.
 
 The sweep also emits ``BENCH_ablation_kernels.json`` for the CI
 regression gate: its headline (``derived.elapsed_simulated``) is the
-adaptive kernel's charged ops priced at the cost model's per-op time, a
+hash kernel's Eq. 3 bill priced at the cost model's per-op time, a
 machine-independent figure ``compare_reports.py`` can diff at a strict
 threshold.
 """
@@ -18,27 +19,30 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from _helpers import COST, emit_bench_report, once, prepared, report
+from repro.exec.registry import KERNELS
+from repro.graph.ordering import ordering_op_cost
 from repro.memory import edge_iterator
 from repro.obs import RunReport
-from repro.util.intersect import IntersectionKernel
 from repro.util.tables import format_table
 
 
 def sweep():
     graph, _store, reference = prepared("LJ")
     rows = {}
-    for kernel in IntersectionKernel:
+    for kernel in KERNELS:
         start = time.perf_counter()
         result = edge_iterator(graph, kernel=kernel)
         wall = time.perf_counter() - start
         assert result.triangles == reference.triangles
-        rows[kernel.value] = (result.triangles, result.cpu_ops, wall)
-    return rows
+        rows[kernel] = (result.triangles, result.cpu_ops, wall)
+    return rows, ordering_op_cost(graph, np.arange(graph.num_vertices))
 
 
 def test_ablation_kernels(benchmark):
-    results = once(benchmark, sweep)
+    results, eq3_ops = once(benchmark, sweep)
     rows = [
         (kernel, triangles, ops, f"{wall * 1e3:.1f}")
         for kernel, (triangles, ops, wall) in results.items()
@@ -54,16 +58,14 @@ def test_ablation_kernels(benchmark):
     )
     counts = {triangles for triangles, _, _ in results.values()}
     assert len(counts) == 1
-    # The hash kernel's charge is the paper's min() measure.
-    assert results["hash"][1] == results["numpy"][1]
-    # Range pruning never charges above the hash min, and on the skewed
-    # LJ stand-in it strictly undercuts it.
-    assert results["adaptive"][1] < results["hash"][1]
+    # The hash kernel's charge is exactly the paper's Eq. 3 bill, here
+    # in its closed form over the edge array.
+    assert results["hash"][1] == eq3_ops
 
     obs = RunReport("ablation-kernels-LJ", meta={
         "dataset": "LJ",
         "engine": "exec.compose",
-        "kernels": [kernel.value for kernel in IntersectionKernel],
+        "kernels": list(KERNELS),
     })
     for kernel, (triangles, ops, wall) in results.items():
         obs.counter("exec.triangles", kernel=kernel).inc(triangles)
@@ -71,7 +73,8 @@ def test_ablation_kernels(benchmark):
         obs.derive(f"wall_{kernel}", wall)
     total_wall = sum(wall for _, _, wall in results.values())
     obs.gauge("run.elapsed_wall").set(total_wall)
-    # Deterministic headline: the adaptive bill priced per-op, so the CI
-    # gate diffs op-count regressions, not runner-to-runner wall noise.
-    obs.derive("elapsed_simulated", results["adaptive"][1] * COST.op_time)
+    # Deterministic headline: the hash kernel's Eq. 3 bill priced per-op,
+    # so the CI gate diffs op-count regressions, not runner-to-runner
+    # wall noise.
+    obs.derive("elapsed_simulated", results["hash"][1] * COST.op_time)
     emit_bench_report("ablation_kernels", obs)

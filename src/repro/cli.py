@@ -808,12 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="graph source for --method compose: heap CSR, "
                           "POSIX shared-memory CSR, or paged disk store")
     tri.add_argument("--kernel", default="hash",
-                     choices=["hash", "merge", "gallop", "bitmap",
-                              "adaptive"],
+                     choices=["hash", "merge", "gallop", "bitmap"],
                      help="intersection kernel for --method compose "
                           "(hash charges the paper's Eq. 3 probe count; "
-                          "adaptive range-prunes and picks a data path "
-                          "per pair)")
+                          "merge and gallop charge measured comparisons; "
+                          "bitmap is an alias of hash)")
     tri.add_argument("--executor", default="serial",
                      choices=["serial", "threaded", "process"],
                      help="execution strategy for --method compose; "
@@ -965,8 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["memory", "shm", "disk"],
                      help="graph source for --method compose")
     pro.add_argument("--kernel", default="hash",
-                     choices=["hash", "merge", "gallop", "bitmap",
-                              "adaptive"],
+                     choices=["hash", "merge", "gallop", "bitmap"],
                      help="intersection kernel for --method compose")
     pro.add_argument("--executor", default="serial",
                      choices=["serial", "threaded", "process"],

@@ -22,12 +22,10 @@ import time
 from collections import deque
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.costs import cost_conformance
 from repro.core.context import ChunkContext
 from repro.core.engine import resolve_plugin
-from repro.core.framework import _fold_fault_log
+from repro.core.framework import _assemble_adjacency, _fold_fault_log
 from repro.core.plugins import IteratorPlugin
 from repro.core.result_store import GroupCaptureSink, RunCheckpoint
 from repro.errors import ConfigurationError
@@ -285,16 +283,8 @@ def _run_iteration(
                         reads=itrace.fill_reads, index=index)
 
     # Assemble the chunk's full adjacency lists (read-only afterwards).
-    partial: dict[int, list] = {}
-    for page_id in range(pid, end + 1):
-        for record in chunk_records[page_id]:
-            partial.setdefault(record.vertex, []).append(record.neighbors)
-    ctx.extend_adjacency(
-        {
-            vertex: (parts[0] if len(parts) == 1 else np.concatenate(parts))
-            for vertex, parts in partial.items()
-        }
-    )
+    ctx.extend_adjacency(_assemble_adjacency(
+        chunk_records[page_id] for page_id in range(pid, end + 1)))
 
     # -- delegate the external triangulation (Algorithm 4) ------------------
     pages_needed: set[int] = set()

@@ -4,16 +4,17 @@ Every triangulation path in this repository is, structurally, the same
 computation: enumerate edges ``(u, v)`` with ``u`` preceding ``v``,
 intersect the successor lists, emit the completions.  What actually
 varies is three independent axes (the factorization the paper itself
-uses — iterator model × internal/external split × buffer policy, and
-the per-pair kernel choice AOT argues for):
+uses — iterator model × internal/external split × buffer policy, plus
+the intersection kernel):
 
 * **Source** — where successor lists come from: an in-memory CSR, a
   shared-memory CSR attachable across processes, or a paged disk store
   read through a buffer manager (:mod:`repro.exec.sources`);
-* **Kernel** — how two sorted lists are intersected and how the Eq. 3
-  operation count is charged: analytic hash probes, two-pointer merge,
-  galloping search, a dense bitmap, or the range-pruned adaptive
-  selector over all three data paths (:mod:`repro.exec.kernels`);
+* **Kernel** — how two sorted lists are intersected and how the
+  operation count is charged: the paper's Eq. 3 hash probes (over a
+  dense membership mask), or the two-pointer merge and galloping
+  reference kernels with their measured comparison counts
+  (:mod:`repro.exec.kernels`);
 * **Executor** — who drives the vertex ranges: a serial loop, a thread
   pool, or a forked process pool over shared memory
   (:mod:`repro.exec.executors`).
@@ -30,14 +31,7 @@ can silently escape the differential harness.
 
 from repro.exec.engine import Engine, EngineOutcome, compose, run_range, split_ranges
 from repro.exec.executors import ProcessExecutor, SerialExecutor, ThreadedExecutor
-from repro.exec.kernels import (
-    AdaptiveKernel,
-    BitmapKernel,
-    GallopKernel,
-    HashKernel,
-    Kernel,
-    MergeKernel,
-)
+from repro.exec.kernels import GallopKernel, HashKernel, Kernel, MergeKernel
 from repro.exec.protocols import Executor, Source, SourceHandle
 from repro.exec.registry import (
     EXECUTORS,
@@ -55,8 +49,6 @@ from repro.exec.registry import (
 from repro.exec.sources import DiskSource, MemorySource, SharedMemorySource
 
 __all__ = [
-    "AdaptiveKernel",
-    "BitmapKernel",
     "CellSpec",
     "DiskSource",
     "EXECUTORS",

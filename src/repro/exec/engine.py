@@ -44,11 +44,6 @@ class EngineOutcome:
     groups: list[Group] = field(default_factory=list)
     chunks: int = 0
     io: dict[str, int] = field(default_factory=dict)
-    #: Per-branch ``{branch: [pairs, ops]}`` from the kernel bindings'
-    #: ``stats()`` — empty for fixed-path kernels, populated by the
-    #: adaptive kernel's selector.  Integer cells, so chunk results
-    #: merge by summation regardless of executor.
-    branches: dict[str, list[int]] = field(default_factory=dict)
 
 
 def split_ranges(num_vertices: int, parts: int) -> list[tuple[int, int]]:
@@ -184,9 +179,6 @@ class Engine:
             "executor": executor_name,
             "chunks": outcome.chunks,
         }
-        if outcome.branches:
-            extra["branches"] = {branch: list(cell) for branch, cell
-                                 in outcome.branches.items()}
         if report is not None:
             labels = dict(source=source_name, kernel=kernel_name,
                           executor=executor_name)
@@ -197,13 +189,6 @@ class Engine:
             report.counter("exec.triangles", **labels).inc(outcome.triangles)
             report.counter("exec.ops", **labels).inc(outcome.cpu_ops)
             report.counter("exec.chunks", **labels).inc(outcome.chunks)
-            # Adaptive-selector decisions, sliceable like any other axis
-            # label; per-branch ops sum exactly to the cell's exec.ops.
-            for branch, (pairs, branch_ops) in sorted(outcome.branches.items()):
-                report.counter("exec.branch.pairs", branch=branch,
-                               **labels).inc(pairs)
-                report.counter("exec.branch.ops", branch=branch,
-                               **labels).inc(branch_ops)
             report.gauge("run.elapsed_wall").set(elapsed)
             extra["report"] = report
         return TriangulationResult(

@@ -41,22 +41,6 @@ def _merge_io(totals: dict[str, int], stats: dict[str, int]) -> None:
         totals[key] = totals.get(key, 0) + int(value)
 
 
-def _merge_branches(totals: dict[str, list[int]],
-                    stats: dict[str, list[int]]) -> None:
-    """Fold one binding's ``{branch: [pairs, ops]}`` tally into *totals*.
-
-    Integer sums, so the merged tally is independent of chunking and
-    scheduling — the same invariance the op-conservation checks pin.
-    """
-    for branch, (pairs, ops) in stats.items():
-        cell = totals.get(branch)
-        if cell is None:
-            totals[branch] = [int(pairs), int(ops)]
-        else:
-            cell[0] += int(pairs)
-            cell[1] += int(ops)
-
-
 def _scope_for(attribution, source: Source, kernel: Kernel):
     """The ``(exec, kernel, source)`` charging scope, or ``None``.
 
@@ -85,8 +69,7 @@ class SerialExecutor:
                 scope=_scope_for(attribution, source, kernel))
             return EngineOutcome(triangles=triangles, cpu_ops=ops,
                                  groups=groups, chunks=1,
-                                 io=dict(handle.io_stats()),
-                                 branches=binding.stats())
+                                 io=dict(handle.io_stats()))
 
 
 class ThreadedExecutor:
@@ -122,18 +105,15 @@ class ThreadedExecutor:
                 triangles, ops, groups = run_range(
                     local, binding, lo, hi, collect,
                     scope=_scope_for(table, source, kernel))
-                return (triangles, ops, groups, local.io_stats(), table,
-                        binding.stats())
+                return triangles, ops, groups, local.io_stats(), table
 
             outcome = EngineOutcome(chunks=len(ranges))
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                for (triangles, ops, groups, stats, table,
-                     branches) in pool.map(job, ranges):
+                for triangles, ops, groups, stats, table in pool.map(job, ranges):
                     outcome.triangles += triangles
                     outcome.cpu_ops += ops
                     outcome.groups.extend(groups)
                     _merge_io(outcome.io, stats)
-                    _merge_branches(outcome.branches, branches)
                     if table is not None:
                         attribution.merge(table)
             return outcome
@@ -178,7 +158,6 @@ class ProcessExecutor:
                 outcome.cpu_ops += ops
                 outcome.groups.extend(groups)
             for report in result.worker_reports:
-                _merge_branches(outcome.branches, report.branches)
                 if report.attribution is not None:
                     attribution.merge_snapshot(report.attribution)
             return outcome

@@ -1,26 +1,21 @@
 """Intersection kernels: the Kernel axis of the composition layer.
 
-Five strategies, all operating on sorted duplicate-free id arrays and
+Three strategies, all operating on sorted duplicate-free id arrays and
 all returning ``(common, ops)``:
 
-* ``hash`` — the canonical Eq. 3 kernel: the fast numpy intersection
-  with the analytic hash-probe charge ``min(|a|, |b|)``.  This is
-  byte-for-byte the accounting of the historical
-  :func:`repro.memory.edge_iterator.edge_iterator` numpy path, which is
-  now a façade over this kernel.
+* ``hash`` — the paper's Eq. 3 kernel, charged the analytic hash-probe
+  count ``min(|a|, |b|)``.  Its binding owns a dense boolean mask over
+  the vertex space: each pair marks the longer list, probes the shorter
+  against the mask, and unmarks — one O(1) membership test per
+  shorter-side member, exactly the probes Eq. 3 charges.
 * ``merge`` — two-pointer merge; charges measured element comparisons.
-* ``gallop`` — exponential search; efficient under degree skew, the
-  AOT-style alternative for ``|a| ≪ |b|``.
-* ``bitmap`` — dense boolean mask over the vertex space, the
-  matrix/bitmap strategy: mark the longer list, probe the shorter.
-  Charges the same analytic ``min(|a|, |b|)`` as ``hash`` (one probe
-  per shorter-side member), so bitmap cells cross-check the Eq. 3
-  conservation property through a completely different data path.
-* ``adaptive`` — AOT-style per-pair selection: range-prune both lists,
-  charge the Eq. 3 min over the *pruned* lists (≤ every fixed kernel's
-  charge, strictly below on partial range overlap), then route the pair
-  to the merge / gallop / bitmap data path by pruned skew ratio.  See
-  ``docs/kernels.md`` for the selection rule and thresholds.
+* ``gallop`` — exponential search; efficient under degree skew.
+  Charges measured comparisons.
+
+``merge`` and ``gallop`` are the reference kernels of the op-count
+ablation; ``hash`` is the one every engine runs by default.  ``bitmap``
+is the dense-mask path's former name, still registered as an alias of
+``hash`` (:class:`BitmapAlias`): same binding, charge and listing.
 
 Kernels are stateless and picklable by *name* (the process executor
 re-resolves them in workers via :mod:`repro.exec.registry`); per-graph
@@ -33,16 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util.intersect import (
-    adaptive_intersect_detail,
-    gallop_intersect,
-    intersect_count_ops,
-    intersect_sorted,
-    merge_intersect,
-)
+from repro.util.intersect import gallop_intersect, merge_intersect
 
-__all__ = ["AdaptiveKernel", "BitmapKernel", "GallopKernel", "HashKernel",
-           "Kernel", "MergeKernel"]
+__all__ = ["BitmapAlias", "GallopKernel", "HashKernel", "Kernel", "MergeKernel"]
 
 
 class Kernel:
@@ -84,20 +72,40 @@ class KernelBinding:
     def intersect(self, prepped, row: np.ndarray) -> tuple[Sequence[int], int]:
         return self._kernel._intersect(prepped, row)
 
-    def stats(self) -> dict[str, list[int]]:
-        """Per-branch ``{branch: [pairs, ops]}`` — empty for fixed-path
-        kernels; the adaptive binding reports its selector's decisions."""
-        return {}
-
 
 class HashKernel(Kernel):
-    """Numpy intersection charged with the analytic Eq. 3 probe count."""
+    """Dense-mask membership probes with the analytic Eq. 3 charge."""
 
     name = "hash"
 
-    def _intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
-        common = intersect_sorted(a, b)
-        return common, intersect_count_ops(len(a), len(b))
+    def bind(self, num_vertices: int) -> "KernelBinding":
+        return _HashBinding(self, num_vertices)
+
+
+class BitmapAlias(HashKernel):
+    """``bitmap``: the hash kernel under the name its data path had
+    before the two kernels were folded into one."""
+
+    name = "bitmap"
+
+
+class _HashBinding:
+    def __init__(self, kernel: HashKernel, num_vertices: int):
+        self.name = kernel.name
+        self._mask = np.zeros(num_vertices, dtype=bool)
+
+    def prep(self, row: np.ndarray) -> np.ndarray:
+        return row
+
+    def intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
+        if len(a) == 0 or len(b) == 0:
+            return (), 0
+        shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+        mask = self._mask
+        mask[longer] = True
+        common = shorter[mask[shorter]]
+        mask[longer] = False
+        return common, len(shorter)
 
 
 class MergeKernel(Kernel):
@@ -122,86 +130,3 @@ class GallopKernel(Kernel):
 
     def _intersect(self, a: list[int], b: np.ndarray) -> tuple[Sequence[int], int]:
         return gallop_intersect(a, b.tolist())
-
-
-class BitmapKernel(Kernel):
-    """Dense bitmap probe with the analytic Eq. 3 charge.
-
-    The binding owns one boolean scratch array sized to the graph; each
-    pair marks the longer list, probes the shorter against the mask,
-    and unmarks — O(|a| + |b|) work but only ``min(|a|, |b|)`` charged
-    probes, mirroring how the paper charges its O(1)-membership model
-    regardless of the structure backing it.
-    """
-
-    name = "bitmap"
-
-    def bind(self, num_vertices: int) -> "KernelBinding":
-        return _BitmapBinding(num_vertices)
-
-
-class _BitmapBinding:
-    name = "bitmap"
-
-    def __init__(self, num_vertices: int):
-        self._mask = np.zeros(num_vertices, dtype=bool)
-
-    def prep(self, row: np.ndarray) -> np.ndarray:
-        return row
-
-    def intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
-        if len(a) == 0 or len(b) == 0:
-            return (), min(len(a), len(b))
-        shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-        mask = self._mask
-        mask[longer] = True
-        common = shorter[mask[shorter]]
-        mask[longer] = False
-        return common, len(shorter)
-
-    def stats(self) -> dict[str, list[int]]:
-        return {}
-
-
-class AdaptiveKernel(Kernel):
-    """Range-pruned per-pair strategy selection (AOT-style).
-
-    Every pair is first range-pruned (each list restricted to the
-    other's ``[min, max]`` span) and charged the Eq. 3 min over the
-    *pruned* lists — ≤ the hash kernel's ``min(|a|, |b|)`` always,
-    strictly below it whenever successor ranges only partially overlap.
-    The pruned skew ratio then routes the pair to merge / gallop /
-    bitmap data paths (see
-    :func:`repro.util.intersect.adaptive_intersect_detail`); the binding
-    owns the graph-sized bitmap scratch mask and tallies pairs and ops
-    per branch, which the engine surfaces as the labelled
-    ``exec.branch.*`` counters.
-    """
-
-    name = "adaptive"
-
-    def bind(self, num_vertices: int) -> "KernelBinding":
-        return _AdaptiveBinding(num_vertices)
-
-
-class _AdaptiveBinding:
-    name = "adaptive"
-
-    def __init__(self, num_vertices: int):
-        self._mask = np.zeros(num_vertices, dtype=bool)
-        self._branches: dict[str, list[int]] = {}
-
-    def prep(self, row: np.ndarray) -> np.ndarray:
-        return row
-
-    def intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
-        common, ops, branch = adaptive_intersect_detail(a, b, self._mask)
-        cell = self._branches.get(branch)
-        if cell is None:
-            cell = self._branches[branch] = [0, 0]
-        cell[0] += 1
-        cell[1] += ops
-        return common, ops
-
-    def stats(self) -> dict[str, list[int]]:
-        return {branch: list(cell) for branch, cell in self._branches.items()}

@@ -86,7 +86,7 @@ class Kernel(Protocol):
     name: str
 
     def bind(self, num_vertices: int) -> "KernelBinding":
-        """Scratch state (e.g. a bitmap) sized for one graph."""
+        """Scratch state (e.g. the hash kernel's mask) sized for one graph."""
         ...
 
 
@@ -101,11 +101,6 @@ class KernelBinding(Protocol):
 
     def intersect(self, prepped: object, row: np.ndarray) -> tuple[Sequence[int], int]:
         """``(common, ops)`` for one ``n_succ(u) ∩ n_succ(v)`` pair."""
-        ...
-
-    def stats(self) -> dict[str, list[int]]:
-        """Per-branch ``{branch: [pairs, ops]}`` tally (``{}`` for
-        fixed-path kernels; the adaptive kernel reports its selector)."""
         ...
 
 

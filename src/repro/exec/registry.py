@@ -27,13 +27,7 @@ from typing import Callable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.exec.executors import ProcessExecutor, SerialExecutor, ThreadedExecutor
-from repro.exec.kernels import (
-    AdaptiveKernel,
-    BitmapKernel,
-    GallopKernel,
-    HashKernel,
-    MergeKernel,
-)
+from repro.exec.kernels import BitmapAlias, GallopKernel, HashKernel, MergeKernel
 from repro.exec.sources import DiskSource, MemorySource, SharedMemorySource
 
 __all__ = [
@@ -64,13 +58,13 @@ SOURCES = {
     "disk": DiskSource,
 }
 
-#: Kernel name -> class (stateless; instantiated per call).
+#: Kernel name -> class (stateless; instantiated per call).  ``bitmap``
+#: is an alias: the same dense-mask kernel as ``hash``, under its old name.
 KERNELS = {
     "hash": HashKernel,
     "merge": MergeKernel,
     "gallop": GallopKernel,
-    "bitmap": BitmapKernel,
-    "adaptive": AdaptiveKernel,
+    "bitmap": BitmapAlias,
 }
 
 #: Executor name -> class.  Instantiation goes through :func:`make_executor`.
@@ -319,7 +313,6 @@ def _composed_methods() -> list[tuple[str, Callable]]:
     witnesses = [
         ("memory", "merge", "serial"),
         ("memory", "gallop", "threaded"),
-        ("memory", "adaptive", "serial"),
         ("disk", "bitmap", "serial"),
         ("shm", "hash", "process"),
     ]

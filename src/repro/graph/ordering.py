@@ -14,8 +14,9 @@ tailored-ordering literature (Lécuyer et al.):
   the ordering tracks coreness rather than raw degree and bounds every
   ``n_succ`` list by the graph's degeneracy;
 * ``locality`` — deterministic BFS from a min-degree root with sorted
-  neighbor visits: ids follow neighborhood proximity, which compacts the
-  successor ranges the range-pruning adaptive kernel feeds on.
+  neighbor visits: ids follow neighborhood proximity, so neighbors get
+  nearby ids.  Like every candidate, ``auto`` keeps or passes it over on
+  its measured Eq. 3 bill.
 
 No single ordering wins on every graph, so ``auto`` measures the exact
 Eq. 3 bill of each candidate via :func:`ordering_op_cost` — a vectorized
@@ -99,8 +100,8 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
     Each component is traversed breadth-first from its minimum-degree
     vertex (ties by lowest id), neighbors visited in ascending id order;
     components start from the lowest-id unvisited root candidate.  Ids
-    then follow neighborhood proximity, which narrows the successor-range
-    spans the range-pruning adaptive kernel intersects.
+    then follow neighborhood proximity, which keeps each successor list
+    within a narrow id span.
     """
     n = graph.num_vertices
     mapping = np.full(n, -1, dtype=np.int64)

@@ -17,27 +17,15 @@ from __future__ import annotations
 
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult
-from repro.util.intersect import IntersectionKernel
 
 __all__ = ["edge_iterator"]
-
-#: Historical kernel selector -> exec registry kernel name.  NUMPY and
-#: HASH share the Eq. 3 analytic charge ``min(|a|, |b|)``; the exec
-#: ``hash`` kernel is the vectorized fast path that charges it.
-_KERNEL_NAMES = {
-    IntersectionKernel.NUMPY: "hash",
-    IntersectionKernel.HASH: "hash",
-    IntersectionKernel.MERGE: "merge",
-    IntersectionKernel.GALLOP: "gallop",
-    IntersectionKernel.ADAPTIVE: "adaptive",
-}
 
 
 def edge_iterator(
     graph: Graph,
     sink: TriangleSink | None = None,
     *,
-    kernel: IntersectionKernel | str = IntersectionKernel.NUMPY,
+    kernel: str = "hash",
 ) -> TriangulationResult:
     """List all triangles of *graph* with EdgeIterator≻.
 
@@ -49,17 +37,17 @@ def edge_iterator(
         Optional receiver of nested ``<u, v, {w...}>`` groups; defaults to
         a counting sink.
     kernel:
-        Intersection strategy.  The default numpy kernel charges the
-        paper's analytic probe count; the reference kernels (merge, hash,
-        gallop) charge their own measured operation counts — used by the
-        kernel ablation benchmark.
+        A :data:`repro.exec.registry.KERNELS` name.  The default ``hash``
+        kernel charges the paper's analytic probe count; the reference
+        kernels (``merge``, ``gallop``) charge their own measured
+        comparison counts.  An unknown name raises
+        :class:`~repro.errors.ConfigurationError`.
 
     Returns the triangle count and the CPU op count.
     """
     from repro.exec.engine import compose
 
-    kernel = IntersectionKernel(kernel)
-    engine = compose("memory", _KERNEL_NAMES[kernel], "serial", graph=graph)
+    engine = compose("memory", kernel, "serial", graph=graph)
     # No sink: run in count-only mode (no group materialization), the
     # historical default-CountSink behavior.
     result = engine.run(sink)

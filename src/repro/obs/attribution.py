@@ -14,14 +14,13 @@ An :class:`Attribution` accumulates integer charges into cells keyed by
   ``candidate`` / ``internal`` / ``external`` for the OPT driver's
   Algorithm 7 / 5 / 9 phases);
 * **kernel** — the intersection strategy that executed the pair
-  (``hash`` / ``merge`` / ``gallop`` / ``bitmap``, or the OPT plugin
-  name for disk runs);
+  (``hash`` / ``merge`` / ``gallop``, or the OPT plugin name for disk
+  runs);
 * **source** — the read path the successor lists came from
   (``memory`` / ``shm`` / ``disk``);
 * **degree bucket** — the power-of-two bucket of the *probed side's*
   length, ``min(|a|, |b|)`` — exactly the quantity the paper's Eq. 3
-  charge is ``min(|a|, |b|)`` of, and the quantity an adaptive (AOT
-  style) kernel would switch on.
+  charge is ``min(|a|, |b|)`` of.
 
 Each cell carries ``pairs`` (kernel invocations), ``ops`` (Eq. 3
 charges), and ``triangles``.  All three are integers, so cells merge by

@@ -1,7 +1,7 @@
 """A dependency-free metrics registry: counters, gauges, histograms.
 
 Metrics are identified by a name plus an optional set of ``key=value``
-labels (``registry.counter("intersect.ops", kernel="merge")``).  The
+labels (``registry.counter("exec.ops", kernel="merge")``).  The
 registry interns one instrument per ``(name, labels)`` pair, so every
 caller incrementing ``ssd.pages_read`` — the synchronous device, the
 threaded SSD's reader pool, the buffer manager's loader — lands on the

@@ -52,9 +52,6 @@ METRIC_NAMES = frozenset({
     "io.pages_read",
     "io.pages_written",
     "io.pages_buffered",
-    # intersection kernels
-    "intersect.ops",
-    "intersect.calls",
     # OPT iteration structure (Algorithm 3)
     "opt.iterations",
     "opt.fill.reads",
@@ -93,11 +90,6 @@ METRIC_NAMES = frozenset({
     "exec.triangles",
     "exec.ops",
     "exec.chunks",
-    # adaptive-kernel selector decisions — additionally labelled by
-    # branch (merge/gallop/bitmap/disjoint/empty); per-branch ops sum
-    # exactly to the cell's exec.ops
-    "exec.branch.pairs",
-    "exec.branch.ops",
     # process-parallel engine (repro.parallel)
     "parallel.ops",
     "parallel.chunks",

@@ -108,9 +108,6 @@ class WorkerReport:
     #: Serialized :class:`~repro.obs.attribution.Attribution` snapshot
     #: (deterministic form), or ``None`` when attribution was off.
     attribution: dict | None = None
-    #: The worker's kernel-binding ``stats()``: per-branch
-    #: ``{branch: [pairs, ops]}``, empty for fixed-path kernels.
-    branches: dict[str, list[int]] = field(default_factory=dict)
     error: str | None = None
 
 
@@ -164,8 +161,7 @@ def _execute_chunks(
     worker charges a private attribution table under that constant
     coordinate and ships its deterministic snapshot on the report —
     cells merge by summation, so the folded table is independent of
-    worker count and scheduling.  The binding's ``stats()`` ride along
-    the same way.
+    worker count and scheduling.
     """
     from repro.exec.registry import make_kernel
     from repro.obs.attribution import Attribution
@@ -226,7 +222,6 @@ def _execute_chunks(
     beat(done=True)
     report.snapshot = registry.snapshot(histogram_samples=True)
     report.events = tracer.events()
-    report.branches = binding.stats()
     if attr_table is not None:
         report.attribution = attr_table.snapshot()
     return report

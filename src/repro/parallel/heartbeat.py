@@ -65,7 +65,8 @@ class StragglerPolicy:
     ``fraction`` and ``min_chunks`` tune the imbalance detector: a
     worker is a straggler when the median worker has finished at least
     ``min_chunks`` chunks and this worker has finished fewer than
-    ``fraction * median``.  ``grace`` suppresses that detector for the
+    ``fraction * median`` (workers that finished without taking a chunk
+    are left out of the median).  ``grace`` suppresses that detector for the
     first seconds of a run — at startup the fastest worker can lap the
     others before they even fetch a task, which is scheduling noise, not
     imbalance.  ``deadline`` (seconds of heartbeat silence) arms the
@@ -171,7 +172,12 @@ class HeartbeatMonitor:
         with self._lock:
             beats = dict(self._latest)
             seen = dict(self._seen)
-        progress = [beat.chunks_done for beat in beats.values()]
+        # A worker that finished without a single chunk found the queue
+        # already empty: it says nothing about typical throughput, and
+        # counting it pins the median at zero whenever one fast worker
+        # drains the queue before its peers start.
+        progress = [beat.chunks_done for beat in beats.values()
+                    if beat.chunks_done or not beat.done]
         typical = median(progress) if progress else 0
         newly: list[int] = []
         hung: tuple[int, float] | None = None

@@ -1,19 +1,16 @@
 """Shared utilities: intersection kernels, orderings, counters, formatting."""
 
 from repro.util.intersect import (
-    IntersectionKernel,
     gallop_intersect,
     hash_intersect,
     intersect_count_ops,
     intersect_sorted,
     merge_intersect,
-    resolve_kernel,
 )
 from repro.util.opcount import OpCounter
 from repro.util.tables import format_table
 
 __all__ = [
-    "IntersectionKernel",
     "OpCounter",
     "format_table",
     "gallop_intersect",
@@ -21,5 +18,4 @@ __all__ = [
     "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",
-    "resolve_kernel",
 ]

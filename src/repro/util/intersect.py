@@ -3,37 +3,29 @@
 Triangulation cost in the paper is measured in adjacency-list intersection
 operations: intersecting ``n_succ(u)`` with ``n_succ(v)`` using an O(1) hash
 costs ``min(|n_succ(u)|, |n_succ(v)|)`` probes (Eq. 3 of the paper).  The
-fast path used by the engines is :func:`intersect_sorted`, which delegates
-to ``numpy.intersect1d`` and *charges* the analytic probe count via
-:func:`intersect_count_ops` — this keeps the Python implementation fast
-while the cost model matches the paper exactly.
+fast path used by the OPT plugins and the other numpy engines is
+:func:`intersect_sorted`, which delegates to ``numpy.intersect1d`` and
+*charges* the analytic probe count via :func:`intersect_count_ops` — this
+keeps the Python implementation fast while the cost model matches the
+paper exactly.
 
-Three reference kernels (merge, hash, gallop) are provided for the kernel
-ablation benchmark and as executable specifications; they return their own
-measured operation counts.
+Three reference kernels (merge, hash, gallop) are provided as executable
+specifications; they return their own measured operation counts.  The
+engines' kernel catalogue lives in :mod:`repro.exec.kernels`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from repro.obs import MetricsRegistry
-
 __all__ = [
-    "ADAPTIVE_BITMAP_SKEW",
-    "ADAPTIVE_GALLOP_SKEW",
-    "IntersectionKernel",
-    "adaptive_intersect",
-    "adaptive_intersect_detail",
     "gallop_intersect",
     "hash_intersect",
     "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",
-    "resolve_kernel",
 ]
 
 
@@ -43,16 +35,6 @@ __all__ = [
 #: observation that VertexIterator≻ runs ~20% slower than EdgeIterator≻
 #: despite equal asymptotic complexity (Section 5.3).
 HASH_PROBE_COST = 2
-
-
-class IntersectionKernel(str, Enum):
-    """Selectable intersection strategies for the ablation study."""
-
-    NUMPY = "numpy"
-    MERGE = "merge"
-    HASH = "hash"
-    GALLOP = "gallop"
-    ADAPTIVE = "adaptive"
 
 
 def intersect_count_ops(len_a: int, len_b: int) -> int:
@@ -113,7 +95,7 @@ def hash_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
 def gallop_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
     """Galloping (exponential search) intersection.
 
-    Efficient when ``len(a) << len(b)``; used by the kernel ablation.
+    Efficient when ``len(a) << len(b)``; backs the ``gallop`` exec kernel.
     Returns ``(result, ops)`` where ``ops`` counts comparisons.
     """
     if len(a) > len(b):
@@ -144,128 +126,3 @@ def gallop_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int
             lo += 1
         ops += 1
     return result, ops
-
-
-#: Pruned ``|longer| / |shorter|`` skew at or above which per-element
-#: binary probing (galloping) beats a linear pass over the longer list.
-ADAPTIVE_GALLOP_SKEW = 16
-
-#: Lower edge of the mid-skew band the dense-mask path handles; below
-#: it the lists are comparable and the merge path wins.
-ADAPTIVE_BITMAP_SKEW = 4
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def adaptive_intersect_detail(
-    a: np.ndarray,
-    b: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, str]:
-    """AOT-style adaptive intersection: ``(common, ops, branch)``.
-
-    Both lists are first *range-pruned* — each restricted to the other's
-    ``[min, max]`` span with two binary searches — and the pair is
-    charged the Eq. 3 min over the **pruned** lists: ``min(|a'|, |b'|)``,
-    or ``0`` when the spans are disjoint.  Pruning is why the adaptive
-    kernel's bill is ≤ the hash kernel's ``min(|a|, |b|)`` on every pair
-    and strictly below it whenever successor ranges only partially
-    overlap (the common case under locality-aware orderings).
-
-    The data path is then picked from the pruned skew ratio: ``gallop``
-    (vectorized ``searchsorted``) at or above
-    :data:`ADAPTIVE_GALLOP_SKEW`, the dense-mask ``bitmap`` path in the
-    :data:`ADAPTIVE_BITMAP_SKEW` band, ``merge`` (``np.intersect1d``)
-    for comparable lists; degenerate pairs short-circuit as ``empty`` /
-    ``disjoint``.  The branch never affects the charge — only ops/sec —
-    so op totals stay data-path independent.
-
-    *mask* is an optional reusable boolean scratch array covering every
-    vertex id (the engine binding owns one per graph); without it the
-    bitmap band allocates a throwaway mask sized to the pruned span.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if len(a) == 0 or len(b) == 0:
-        return _EMPTY, 0, "empty"
-    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-    # Range-prune each side to the other's [min, max] span.
-    lo = int(np.searchsorted(longer, shorter[0], side="left"))
-    hi = int(np.searchsorted(longer, shorter[-1], side="right"))
-    longer = longer[lo:hi]
-    if len(longer) == 0:
-        return _EMPTY, 0, "disjoint"
-    lo = int(np.searchsorted(shorter, longer[0], side="left"))
-    hi = int(np.searchsorted(shorter, longer[-1], side="right"))
-    shorter = shorter[lo:hi]
-    if len(shorter) == 0:
-        return _EMPTY, 0, "disjoint"
-    if len(shorter) > len(longer):
-        shorter, longer = longer, shorter
-    ops = len(shorter)  # Eq. 3 min-charge over the pruned pair
-    ratio = len(longer) // len(shorter)
-    if ratio >= ADAPTIVE_GALLOP_SKEW:
-        positions = np.searchsorted(longer, shorter)
-        positions = np.minimum(positions, len(longer) - 1)
-        common = shorter[longer[positions] == shorter]
-        return common, ops, "gallop"
-    if ratio >= ADAPTIVE_BITMAP_SKEW:
-        scratch = mask
-        if scratch is None:
-            scratch = np.zeros(int(longer[-1]) + 1, dtype=bool)
-        scratch[longer] = True
-        common = shorter[scratch[shorter]]
-        scratch[longer] = False
-        return common, ops, "bitmap"
-    return np.intersect1d(shorter, longer, assume_unique=True), ops, "merge"
-
-
-def adaptive_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
-    """Reference-kernel shape for the adaptive strategy: ``(result, ops)``."""
-    common, ops, _branch = adaptive_intersect_detail(
-        np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return common.tolist(), ops
-
-
-_KERNELS = {
-    IntersectionKernel.MERGE: merge_intersect,
-    IntersectionKernel.HASH: hash_intersect,
-    IntersectionKernel.GALLOP: gallop_intersect,
-    IntersectionKernel.ADAPTIVE: adaptive_intersect,
-}
-
-
-def resolve_kernel(kernel: IntersectionKernel | str,
-                   registry: MetricsRegistry | None = None):
-    """Return the ``(result, ops)`` kernel callable for *kernel*.
-
-    ``IntersectionKernel.NUMPY`` resolves to a wrapper around
-    :func:`intersect_sorted` that charges the analytic op count.  With a
-    *registry*, every call additionally folds its op count into the
-    ``intersect.ops{kernel=...}`` counter (and bumps ``intersect.calls``),
-    so kernel-level CPU cost shows up in run reports without any caller
-    bookkeeping.
-    """
-    kernel = IntersectionKernel(kernel)
-    if kernel is IntersectionKernel.NUMPY:
-
-        def base(a, b):
-            a_arr = np.asarray(a, dtype=np.int64)
-            b_arr = np.asarray(b, dtype=np.int64)
-            result = intersect_sorted(a_arr, b_arr)
-            return list(result), intersect_count_ops(len(a_arr), len(b_arr))
-
-    else:
-        base = _KERNELS[kernel]
-    if registry is None:
-        return base
-    ops_counter = registry.counter("intersect.ops", kernel=kernel.value)
-    calls_counter = registry.counter("intersect.calls", kernel=kernel.value)
-
-    def counted(a, b):
-        result, ops = base(a, b)
-        ops_counter.inc(ops)
-        calls_counter.inc()
-        return result, ops
-
-    return counted

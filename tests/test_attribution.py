@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.exec import compose
+from repro.exec import compose, registry
 from repro.obs import (
     collapsed_text,
     degree_bucket,
@@ -206,7 +206,7 @@ class TestExecConservation:
             snapshots.append(_snapshot_bytes(table))
         assert len(set(snapshots)) == 1
 
-    @pytest.mark.parametrize("kernel", ["merge", "gallop", "bitmap"])
+    @pytest.mark.parametrize("kernel", list(registry.KERNELS))
     def test_every_kernel_conserves(self, rmat, kernel):
         engine = compose("memory", kernel, "serial", graph=rmat)
         table = Attribution()

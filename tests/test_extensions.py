@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TriangulationError
+from repro.errors import ConfigurationError, TriangulationError
+from repro.exec import registry
 from repro.graph import generators
 from repro.graph.builder import from_edges
 from repro.memory import (
@@ -17,7 +18,6 @@ from repro.memory import (
     edge_iterator,
     list_cliques,
 )
-from repro.util.intersect import IntersectionKernel
 from tests.conftest import nx_triangle_count
 
 
@@ -97,7 +97,7 @@ class TestCliques:
 
 
 class TestKernelParameter:
-    @pytest.mark.parametrize("kernel", list(IntersectionKernel))
+    @pytest.mark.parametrize("kernel", list(registry.KERNELS))
     def test_all_kernels_agree(self, small_rmat_ordered, kernel):
         expected = edge_iterator(small_rmat_ordered).triangles
         assert edge_iterator(small_rmat_ordered, kernel=kernel).triangles == expected
@@ -105,7 +105,7 @@ class TestKernelParameter:
     def test_kernel_listing_identical(self, clustered_graph):
         reference = CollectSink()
         edge_iterator(clustered_graph, reference)
-        for kernel in IntersectionKernel:
+        for kernel in registry.KERNELS:
             sink = CollectSink()
             edge_iterator(clustered_graph, sink, kernel=kernel)
             assert canonical_triangles(sink) == canonical_triangles(reference)
@@ -114,3 +114,20 @@ class TestKernelParameter:
         analytic = edge_iterator(small_rmat_ordered).cpu_ops
         hashed = edge_iterator(small_rmat_ordered, kernel="hash").cpu_ops
         assert hashed == analytic
+
+    def test_bitmap_is_an_alias_of_hash(self, clustered_graph):
+        """``bitmap`` resolves to the hash kernel: same bill, same
+        listing, emit order included."""
+        runs = {}
+        for kernel in ("hash", "bitmap"):
+            sink = CollectSink()
+            result = edge_iterator(clustered_graph, sink, kernel=kernel)
+            runs[kernel] = (result.triangles, result.cpu_ops, sink.triangles)
+        assert runs["bitmap"] == runs["hash"]
+
+    @pytest.mark.parametrize("kernel", ["adaptive", "numpy", "bogus"])
+    def test_unknown_kernel_is_a_configuration_error(self, figure1, kernel):
+        """A name outside the registry is a typed configuration error,
+        not a raw ``ValueError`` from an enum lookup."""
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            edge_iterator(figure1, kernel=kernel)

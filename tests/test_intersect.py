@@ -8,17 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.intersect import (
-    ADAPTIVE_BITMAP_SKEW,
-    ADAPTIVE_GALLOP_SKEW,
-    IntersectionKernel,
-    adaptive_intersect,
-    adaptive_intersect_detail,
     gallop_intersect,
     hash_intersect,
     intersect_count_ops,
     intersect_sorted,
     merge_intersect,
-    resolve_kernel,
 )
 
 sorted_unique = st.lists(st.integers(0, 500), max_size=60).map(
@@ -73,108 +67,38 @@ class TestReferenceKernels:
     @given(sorted_unique, sorted_unique)
     def test_kernels_agree(self, a, b):
         expected = sorted(set(a) & set(b))
-        for kernel in (merge_intersect, hash_intersect, gallop_intersect,
-                       adaptive_intersect):
+        for kernel in (merge_intersect, hash_intersect, gallop_intersect):
             result, _ = kernel(a, b)
             assert result == expected
 
     @given(sorted_unique, sorted_unique)
-    def test_numpy_kernel_agrees(self, a, b):
-        kernel = resolve_kernel(IntersectionKernel.NUMPY)
-        result, ops = kernel(a, b)
-        assert result == sorted(set(a) & set(b))
-        assert ops == min(len(a), len(b))
+    def test_intersect_sorted_with_analytic_charge(self, a, b):
+        """The OPT plugins' fast path: ``intersect_sorted`` lists the
+        common members in order and ``intersect_count_ops`` charges the
+        Eq. 3 probe count, the hash reference kernel's measured one."""
+        a_arr = np.asarray(a, dtype=np.int64)
+        b_arr = np.asarray(b, dtype=np.int64)
+        assert intersect_sorted(a_arr, b_arr).tolist() == sorted(set(a) & set(b))
+        ops = intersect_count_ops(len(a_arr), len(b_arr))
+        assert ops == min(len(a), len(b)) == hash_intersect(a, b)[1]
 
 
-class TestResolveKernel:
-    def test_resolves_all_names(self):
-        for kernel in IntersectionKernel:
-            assert callable(resolve_kernel(kernel))
-            assert callable(resolve_kernel(kernel.value))
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("bogus")
-
-
-class TestAdaptiveEdgeCases:
-    """Degenerate and extreme-skew shapes for the adaptive kernel."""
-
-    def test_empty_lists(self):
-        for a, b in ([], []), ([], [1, 2, 3]), ([5], []):
-            common, ops, branch = adaptive_intersect_detail(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-            assert len(common) == 0 and ops == 0 and branch == "empty"
-
-    def test_singletons(self):
-        common, ops, branch = adaptive_intersect_detail(
-            np.array([7]), np.array([7]))
-        assert common.tolist() == [7] and ops == 1 and branch == "merge"
-        common, ops, _branch = adaptive_intersect_detail(
-            np.array([7]), np.array([9]))
-        assert len(common) == 0 and ops == 0
-
-    def test_fully_overlapping_lists(self):
-        a = np.arange(0, 100, 2)
-        common, ops, branch = adaptive_intersect_detail(a, a.copy())
-        assert common.tolist() == a.tolist()
-        assert ops == len(a)  # pruning cannot help identical spans
-        assert branch == "merge"
-
-    def test_maximal_skew_one_against_100k(self):
-        b = np.arange(100_000, dtype=np.int64)
-        for needle, hits in ((50_000, True), (200_000, False)):
-            a = np.array([needle], dtype=np.int64)
-            common, ops, _branch = adaptive_intersect_detail(a, b)
-            assert common.tolist() == ([needle] if hits else [])
-            # |a| = 1 bounds the pruned min: at most one op, and a miss
-            # outside b's span costs nothing.
-            assert ops <= 1
-            assert hits or ops == 0
-
-    def test_disjoint_spans_charge_zero(self):
-        common, ops, branch = adaptive_intersect_detail(
-            np.arange(0, 50), np.arange(100, 200))
-        assert len(common) == 0 and ops == 0 and branch == "disjoint"
-
-    def test_gallop_band_threshold(self):
-        a = np.array([10, 500_000], dtype=np.int64)
-        b = np.arange(0, 2 * ADAPTIVE_GALLOP_SKEW + 20, dtype=np.int64)
-        common, ops, branch = adaptive_intersect_detail(a, b)
-        assert branch == "gallop" and common.tolist() == [10] and ops == 1
-
-    def test_bitmap_band_threshold(self):
-        a = np.array([10, 20, 30, 40], dtype=np.int64)
-        # Pruned to a's span, b keeps 31 members: ratio 31 // 4 = 7,
-        # inside [ADAPTIVE_BITMAP_SKEW, ADAPTIVE_GALLOP_SKEW).
-        b = np.arange(0, 51, dtype=np.int64)
-        common, ops, branch = adaptive_intersect_detail(a, b)
-        assert ADAPTIVE_BITMAP_SKEW <= 31 // 4 < ADAPTIVE_GALLOP_SKEW
-        assert branch == "bitmap"
-        assert ops == len(common) == 4
-
-    @given(sorted_unique, sorted_unique)
-    def test_charge_never_exceeds_the_hash_min(self, a, b):
-        _common, ops = adaptive_intersect(a, b)
-        assert ops <= intersect_count_ops(len(a), len(b))
-
-
-class TestAdaptiveScratchMask:
-    """The engine binding's bitmap scratch mask survives reuse."""
+class TestHashBindingMask:
+    """The ``hash`` binding's dense scratch mask survives reuse."""
 
     def _binding(self, num_vertices=200):
-        from repro.exec import AdaptiveKernel
+        from repro.exec import HashKernel
 
-        return AdaptiveKernel().bind(num_vertices)
+        return HashKernel().bind(num_vertices)
 
     def test_mask_reuse_across_calls(self):
         binding = self._binding()
         a = np.array([10, 20, 30, 40], dtype=np.int64)
-        b = np.arange(0, 40 + 1, dtype=np.int64)  # bitmap band (ratio >= 4)
+        b = np.arange(0, 40 + 1, dtype=np.int64)
         first = binding.intersect(binding.prep(a), b)
         second = binding.intersect(binding.prep(a), b)
         assert first[0].tolist() == second[0].tolist() == a.tolist()
-        assert first[1] == second[1]
+        assert first[1] == second[1] == len(a)
         # The mask is unmarked after every call; stale marks would leak
         # phantom members into later pairs.
         assert not binding._mask.any()
@@ -182,34 +106,14 @@ class TestAdaptiveScratchMask:
         common, _ops = binding.intersect(binding.prep(other),
                                          np.arange(0, 41, dtype=np.int64))
         assert common.tolist() == [15, 25]
+        assert not binding._mask.any()
 
-    def test_branch_tally_accumulates(self):
-        binding = self._binding()
-        binding.intersect(np.array([10, 20, 30, 40]), np.arange(41))
-        binding.intersect(np.array([], dtype=np.int64), np.arange(5))
-        stats = binding.stats()
-        assert stats["bitmap"] == [1, 4]
-        assert stats["empty"] == [1, 0]
-        # stats() returns a copy, not a live view.
-        stats["bitmap"][0] = 99
-        assert binding.stats()["bitmap"] == [1, 4]
-
-
-class TestAdaptiveMinChargeConservation:
-    """Eq. 3 min-charge conservation vs. the hash reference, full zoo."""
-
-    def test_adaptive_bill_bounded_by_hash_on_every_member(self):
-        from repro.exec import compose
-        from tests import zoo
-
-        for name in zoo.zoo_names():
-            graph = zoo.build(name)
-            adaptive = compose("memory", "adaptive", "serial",
-                               graph=graph).run()
-            hash_run = compose("memory", "hash", "serial", graph=graph).run()
-            assert adaptive.triangles == hash_run.triangles, name
-            assert adaptive.cpu_ops <= hash_run.cpu_ops, (
-                f"{name}: adaptive charged {adaptive.cpu_ops} ops, above "
-                f"the hash reference's {hash_run.cpu_ops}")
-            if name in zoo.SKEW_MEMBERS:
-                assert adaptive.cpu_ops < hash_run.cpu_ops, name
+    @given(sorted_unique, sorted_unique)
+    def test_agrees_with_hash_reference(self, a, b):
+        binding = self._binding(501)
+        a_arr = np.asarray(a, dtype=np.int64)
+        b_arr = np.asarray(b, dtype=np.int64)
+        common, ops = binding.intersect(binding.prep(a_arr), b_arr)
+        assert [int(w) for w in common] == hash_intersect(a, b)[0]
+        assert ops == intersect_count_ops(len(a), len(b))
+        assert not binding._mask.any()

@@ -125,9 +125,11 @@ def test_unknown_axis_names_are_invalid_with_reasons():
     assert not valid and "quantum" in reason
 
 
-def test_cli_axis_choices_match_registry():
-    """The triangulate --source/--kernel/--executor choices mirror the
-    registry tables (the parser hardcodes them to stay import-light)."""
+@pytest.mark.parametrize("command", ["triangulate", "profile"])
+def test_cli_axis_choices_match_registry(command):
+    """The --source/--kernel/--executor choices of every subcommand that
+    composes an engine mirror the registry tables (the parser hardcodes
+    them to stay import-light)."""
     import argparse
 
     from repro.cli import build_parser
@@ -135,14 +137,14 @@ def test_cli_axis_choices_match_registry():
     parser = build_parser()
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
-    tri = subparsers.choices["triangulate"]
+    sub = subparsers.choices[command]
 
     def choices(flag: str) -> set[str]:
         option = f"--{flag}"
-        for action in tri._actions:
+        for action in sub._actions:
             if option in action.option_strings:
                 return set(action.choices)
-        raise AssertionError(f"triangulate has no {option} flag")
+        raise AssertionError(f"{command} has no {option} flag")
 
     assert choices("source") == set(registry.SOURCES)
     assert choices("kernel") == set(registry.KERNELS)
@@ -171,78 +173,12 @@ def test_zoo_known_counts_match_oracle(graph_zoo):
         assert len(oracle_triangles(graph_zoo(name))) == expected, name
 
 
-#: Every data path the adaptive kernel's selector can take.
-ADAPTIVE_BRANCHES = {"merge", "gallop", "bitmap", "disjoint", "empty"}
-
-
-def test_skew_members_cover_every_adaptive_branch():
-    """The skew zoo members drive the adaptive selector down every
-    branch, observable through the labelled ``exec.branch.*`` counters,
-    and the per-branch op split conserves the cell's ``exec.ops``."""
-    from repro.obs import RunReport
-
-    covered: set[str] = set()
-    for member in zoo.SKEW_MEMBERS:
-        graph = _graph(member, 0)
-        report = RunReport(member)
-        result = compose("memory", "adaptive", "serial", graph=graph).run(
-            report=report)
-        counters = report.registry.snapshot()["counters"]
-        pairs_by_branch = {}
-        ops_by_branch = {}
-        for key, value in counters.items():
-            name, _, labels = key.partition("{")
-            if name not in ("exec.branch.pairs", "exec.branch.ops"):
-                continue
-            branch = next(part.split("=", 1)[1]
-                          for part in labels.rstrip("}").split(",")
-                          if part.startswith("branch="))
-            assert branch in ADAPTIVE_BRANCHES, key
-            target = (pairs_by_branch if name == "exec.branch.pairs"
-                      else ops_by_branch)
-            target[branch] = value
-        exec_ops = counters[
-            "exec.ops{executor=serial,kernel=adaptive,source=memory}"]
-        assert sum(ops_by_branch.values()) == exec_ops == result.cpu_ops, (
-            f"{member}: per-branch ops do not conserve exec.ops")
-        assert result.extra["branches"] == {
-            branch: [pairs_by_branch[branch], ops_by_branch[branch]]
-            for branch in pairs_by_branch}
-        covered.update(branch for branch, pairs in pairs_by_branch.items()
-                       if pairs > 0)
-    assert covered == ADAPTIVE_BRANCHES, (
-        f"skew members leave adaptive branches unexercised: "
-        f"{ADAPTIVE_BRANCHES - covered}")
-
-
-@pytest.mark.parametrize("member", zoo.SKEW_MEMBERS)
-def test_adaptive_beats_every_fixed_kernel_on_skew(member):
-    """Acceptance: the measured Eq. 3 bill of the adaptive kernel is
-    strictly below every fixed kernel's on the skewed members."""
-    graph = _graph(member, 0)
-    adaptive_ops = _reference_ops("adaptive", member, 0)
-    for kernel in registry.KERNELS:
-        if kernel == "adaptive":
-            continue
-        assert adaptive_ops < _reference_ops(kernel, member, 0), (
-            f"{member}: adaptive ({adaptive_ops} ops) does not strictly "
-            f"beat {kernel} ({_reference_ops(kernel, member, 0)} ops)")
-
-
-def test_adaptive_branch_stats_conserved_across_executors():
-    """The merged branch tally is identical for serial, threaded, and
-    process execution — chunking cannot change selector decisions."""
-    graph = _graph("rmat-heavy", 0)
-    serial = compose("memory", "adaptive", "serial", graph=graph).run()
-    threaded = compose("memory", "adaptive", "threaded", graph=graph,
-                       workers=WORKERS).run()
-    process = compose("shm", "adaptive", "process", graph=graph,
-                      workers=WORKERS).run()
-    assert serial.extra["branches"] == threaded.extra["branches"]
-    assert serial.extra["branches"] == process.extra["branches"]
-
-
-def test_adaptive_witness_in_verification_sweep():
-    """repro verify cross-checks an adaptive composition cell."""
-    names = [name for name, _runner in registry.verification_methods()]
-    assert "exec:memory+adaptive+serial" in names
+def test_verification_witnesses_cover_every_axis_member():
+    """repro verify carries at least one composed witness per source,
+    kernel, and executor, so no axis member escapes the sweep."""
+    witnesses = [name.removeprefix("exec:").split("+")
+                 for name, _runner in registry.verification_methods()
+                 if name.startswith("exec:")]
+    for axis, table in enumerate((registry.SOURCES, registry.KERNELS,
+                                  registry.EXECUTORS)):
+        assert {cell[axis] for cell in witnesses} == set(table)

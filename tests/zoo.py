@@ -80,10 +80,8 @@ def _star_of_cliques() -> Graph:
     """A hub attached to one representative of each lopsided clique.
 
     The hub's successor list spans the whole id range while each
-    clique's lists stay inside their contiguous block, so hub pairs
-    range-prune to nothing (the adaptive kernel's ``disjoint`` branch)
-    while in-clique pairs stay comparable (``merge``) — the shape where
-    a fixed kernel's ``min(|a|, |b|)`` charge is provably wasteful.
+    clique's lists stay inside their contiguous block, so hub pairs have
+    disjoint id spans while in-clique pairs stay comparable in length.
     """
     sizes = (3, 4, 5, 8, 12, 24)
     edges = []
@@ -101,11 +99,9 @@ def _hub_bipartite() -> Graph:
     """Bipartite-ish hubs over leaf blocks with engineered skew bands.
 
     Hub 0 owns a 96-leaf block; hub 1 samples every 8th leaf plus a far
-    block outside hub 0's span (so range pruning strictly beats the raw
-    ``min`` charge); hub 2 samples every 24th.  The hub-hub pairs land
-    one each in the adaptive kernel's ``bitmap`` (mid skew), ``gallop``
-    (extreme skew), and ``merge`` (comparable) bands; leaf pairs hit
-    ``empty``.
+    block outside hub 0's span; hub 2 samples every 24th.  The hub-hub
+    pairs are one each of mid skew, extreme skew, and comparable
+    lengths; leaf pairs intersect empty lists.
     """
     edges = [(0, 1), (0, 2), (1, 2)]
     main = list(range(3, 99))
@@ -121,8 +117,8 @@ def _hub_bipartite() -> Graph:
 
 def _rmat_heavy() -> Graph:
     """A heavy-tailed R-MAT variant: quadrant weights pushed to (0.65,
-    0.15, 0.15, 0.05) concentrate edges on low ids, producing the degree
-    skew that exercises every adaptive-kernel branch on one member."""
+    0.15, 0.15, 0.05) concentrate edges on low ids, producing heavy
+    degree skew on one member."""
     return generators.rmat(96, 480, probabilities=(0.65, 0.15, 0.15, 0.05),
                            seed=5)
 
@@ -142,11 +138,6 @@ ZOO = {
     "hub-bipartite": _hub_bipartite,
     "rmat-heavy": _rmat_heavy,
 }
-
-#: The degree-skew stress members: every adaptive-kernel branch fires
-#: across (and on ``rmat-heavy``, within) these, and the adaptive op
-#: bill is strictly below every fixed kernel's on each one.
-SKEW_MEMBERS = ("star-of-cliques", "hub-bipartite", "rmat-heavy")
 
 #: Members whose triangle count is known by construction, for harness
 #: self-checks (the oracle must reproduce these exactly).
