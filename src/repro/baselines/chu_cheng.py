@@ -21,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.baselines.common import induced_pages, partition_ranges, range_triangle_pass
+from repro.baselines.common import induced_pages, partition_ranges
+from repro.exec.engine import run_range
+from repro.exec.kernels import HashKernel
+from repro.exec.sources import _GraphHandle
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -54,6 +57,8 @@ def _run_partitioned(
         raise ConfigurationError("buffer must hold at least one page")
     budget = max(1, int(buffer_pages * partition_budget_factor))
     ranges = partition_ranges(graph, budget, page_size)
+    handle = _GraphHandle(graph)
+    binding = HashKernel().bind(graph.num_vertices)
     rounds: list[_RoundCost] = []
     triangles = 0
     for lo, hi in ranges:
@@ -63,7 +68,10 @@ def _run_partitioned(
         # merged"): one more read + write of the shrunken remainder.
         remainder_pages = induced_pages(graph, lo, page_size)
         next_pages = induced_pages(graph, hi + 1, page_size)
-        found, ops = range_triangle_pass(graph, lo, hi, sink)
+        found, ops, groups = run_range(handle, binding, lo, hi + 1,
+                                       collect=sink is not None)
+        for u, v, ws in groups:
+            sink.emit(u, v, list(ws))
         triangles += found
         rounds.append(
             _RoundCost(remainder_pages + next_pages, 2 * next_pages, ops)

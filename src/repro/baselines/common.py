@@ -5,9 +5,10 @@ partition-shrink-rewrite structure: process a vertex range whose data fits
 the memory buffer, list every triangle whose minimum vertex falls in the
 range, then rewrite the *remaining* graph (vertices above the range) to
 disk.  Their CPU work is the same intersection workload as EdgeIterator≻
-(so their triangle output is exact); what distinguishes them — and what
-the paper's Figure 5 shows — is the I/O pattern of re-reading and
-re-writing the shrinking remainder every round.
+— each round runs :func:`repro.exec.engine.run_range` over its vertex
+range with the ``hash`` kernel, so their triangle output is exact; what
+distinguishes them — and what the paper's Figure 5 shows — is the I/O
+pattern of re-reading and re-writing the shrinking remainder every round.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.memory.base import CountSink, TriangleSink
 from repro.storage.page import DEFAULT_PAGE_SIZE
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = [
     "induced_pages",
     "partition_ranges",
-    "range_triangle_pass",
     "RECORD_HEADER_BYTES",
     "NEIGHBOR_BYTES",
 ]
@@ -74,32 +72,3 @@ def partition_ranges(
     if graph.num_vertices:
         ranges.append((lo, graph.num_vertices - 1))
     return ranges
-
-
-def range_triangle_pass(
-    graph: Graph,
-    lo: int,
-    hi: int,
-    sink: TriangleSink | None = None,
-) -> tuple[int, int]:
-    """List all triangles whose minimum vertex lies in ``[lo, hi]``.
-
-    Returns ``(triangles, cpu_ops)`` with the paper's probe cost measure.
-    Exactness: every triangle has a unique minimum vertex, so summing
-    passes over a partition of the vertex range lists each triangle once.
-    """
-    if sink is None:
-        sink = CountSink()
-    triangles = 0
-    ops = 0
-    for u in range(lo, hi + 1):
-        succ_u = graph.n_succ(u)
-        for v in succ_u:
-            v = int(v)
-            succ_v = graph.n_succ(v)
-            ops += intersect_count_ops(len(succ_u), len(succ_v))
-            common = intersect_sorted(succ_u, succ_v)
-            if len(common):
-                triangles += len(common)
-                sink.emit(u, v, common.tolist())
-    return triangles, ops

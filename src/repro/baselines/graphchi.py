@@ -21,13 +21,15 @@ driven from both edge endpoints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.baselines.common import induced_pages, partition_ranges, range_triangle_pass
+from repro.baselines.common import induced_pages, partition_ranges
 from repro.errors import ConfigurationError
+from repro.exec.engine import run_range
+from repro.exec.kernels import HashKernel
+from repro.exec.sources import _GraphHandle
 from repro.graph.graph import Graph
+from repro.graph.ordering import edge_charges
 from repro.memory.base import TriangleSink, TriangulationResult
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.storage.page import DEFAULT_PAGE_SIZE
@@ -50,16 +52,17 @@ _INTERVAL_OVERHEAD_SECONDS = 0.3e-3
 _VERTEX_UPDATE_SECONDS = 2e-6
 
 
-@dataclass
-class _Round:
-    scan_pages: int
-    write_pages: int
-    parallel_ops: int
-    sequential_ops: int
-
-
-def _interval_of(ranges: list[tuple[int, int]], bounds: np.ndarray, v: int) -> int:
-    return int(np.searchsorted(bounds, v, side="right"))
+def _op_split(graph: Graph, ranges: list[tuple[int, int]]) -> tuple[int, int]:
+    """``(parallel_ops, sequential_ops)``: the Eq. 3 bill split by the
+    sequential-order constraint — an edge whose upper endpoint's interval
+    is its lower endpoint's round may not run in parallel."""
+    edges = graph.edge_array()
+    charges = edge_charges(edges[:, 0], edges[:, 1], graph.num_vertices)
+    starts = np.array([lo for lo, _ in ranges], dtype=np.int64)
+    bounds = np.array([hi for _, hi in ranges], dtype=np.int64)
+    round_of = np.searchsorted(starts, edges[:, 0], side="right") - 1
+    sequential = np.searchsorted(bounds, edges[:, 1], side="right") == round_of
+    return int(charges[~sequential].sum()), int(charges[sequential].sum())
 
 
 def graphchi_tri(
@@ -81,44 +84,32 @@ def graphchi_tri(
     if cores < 1:
         raise ConfigurationError("cores must be >= 1")
     ranges = partition_ranges(graph, max(1, buffer_pages), page_size)
-    bounds = np.array([hi for _, hi in ranges], dtype=np.int64)
+    handle = _GraphHandle(graph)
+    binding = HashKernel().bind(graph.num_vertices)
 
-    rounds: list[_Round] = []
+    scan_pages = 0
+    write_pages = 0
     triangles = 0
-    for index, (lo, hi) in enumerate(ranges):
-        remainder_pages = induced_pages(graph, lo, page_size)
-        next_pages = induced_pages(graph, hi + 1, page_size)
-        found, _ = range_triangle_pass(graph, lo, hi, sink)
+    for lo, hi in ranges:
+        scan_pages += 2 * induced_pages(graph, lo, page_size)  # odd + even sweeps
+        write_pages += induced_pages(graph, hi + 1, page_size)
+        found, _, groups = run_range(handle, binding, lo, hi + 1,
+                                     collect=sink is not None)
+        for u, v, ws in groups:
+            sink.emit(u, v, list(ws))
         triangles += found
-        # Split the intersection work by the sequential-order constraint:
-        # an edge whose endpoints share an execution interval is ineligible
-        # for parallel processing.
-        parallel_ops = 0
-        sequential_ops = 0
-        for u in range(lo, hi + 1):
-            succ_u = graph.n_succ(u)
-            for v in succ_u:
-                v = int(v)
-                probe = min(len(succ_u), len(graph.n_succ(v)))
-                if _interval_of(ranges, bounds, v) == index:
-                    sequential_ops += probe
-                else:
-                    parallel_ops += probe
-        rounds.append(_Round(remainder_pages, next_pages, parallel_ops, sequential_ops))
 
-    scan_pages = sum(2 * r.scan_pages for r in rounds)  # odd + even sweeps
-    write_pages = sum(r.write_pages for r in rounds)
-    parallel_ops = sum(r.parallel_ops for r in rounds)
-    sequential_ops = sum(r.sequential_ops for r in rounds)
+    parallel_ops, sequential_ops = _op_split(graph, ranges)
     cpu_parallel = cost.cpu(parallel_ops) * _VERTEX_CENTRIC_CPU_FACTOR
     cpu_sequential = cost.cpu(sequential_ops) * _VERTEX_CENTRIC_CPU_FACTOR
     io_time = (
         cost.read_io(scan_pages) + write_pages * cost.page_write_time
     ) / cost.channels
-    # Every round executes all intervals twice (odd + even iteration).
-    engine_overhead = 2 * len(rounds) * len(ranges) * _INTERVAL_OVERHEAD_SECONDS
+    # One pivot round per interval; every round executes all intervals
+    # twice (odd + even iteration).
+    engine_overhead = 2 * len(ranges) * len(ranges) * _INTERVAL_OVERHEAD_SECONDS
     engine_overhead += (
-        2 * len(rounds) * graph.num_vertices * _VERTEX_UPDATE_SECONDS
+        2 * len(ranges) * graph.num_vertices * _VERTEX_UPDATE_SECONDS
     )
     elapsed = io_time + engine_overhead + cpu_sequential + cpu_parallel / cores
     total_cpu = cpu_sequential + cpu_parallel
@@ -132,7 +123,7 @@ def graphchi_tri(
         pages_read=scan_pages,
         pages_written=write_pages,
         elapsed=elapsed,
-        iterations=2 * len(rounds),
+        iterations=2 * len(ranges),
         extra={
             "parallel_fraction": parallel_fraction,
             "intervals": len(ranges),

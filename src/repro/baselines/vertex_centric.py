@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
-from repro.util.intersect import intersect_sorted
 
 __all__ = [
     "GASEngine",
@@ -116,7 +115,9 @@ class TriangleCountProgram(VertexProgram):
         return 0.0
 
     def gather(self, graph, values, u, v):
-        return float(len(intersect_sorted(graph.neighbors(u), graph.neighbors(v))))
+        # One uncharged pair per call: a dense mask would cost O(n) each.
+        return float(len(np.intersect1d(graph.neighbors(u), graph.neighbors(v),
+                                        assume_unique=True)))
 
     def apply(self, graph, u, old_value, gathered):
         return gathered / 2.0

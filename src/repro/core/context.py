@@ -4,11 +4,13 @@ A :class:`ChunkContext` represents one internal-area fill: the inclusive
 vertex range ``[v_lo, v_hi]`` whose record chains are pinned in the
 internal area, their assembled adjacency lists, and the requester map
 ``V_req`` built during candidate identification (Algorithm 7) and
-consumed by the external triangulation (Algorithm 9).
+consumed by the external triangulation (Algorithm 9), plus the run's
+``hash`` kernel binding through which EdgeIterator≻ intersects.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 
 import numpy as np
@@ -27,14 +29,24 @@ class ChunkContext:
         v_hi: int,
         adjacency: dict[int, np.ndarray],
         sink: TriangleSink,
+        binding,
     ):
         self.v_lo = v_lo
         self.v_hi = v_hi
         self._adjacency = adjacency
         self.sink = sink
+        #: The run's ``hash`` kernel binding; owned by one thread.
+        self.binding = binding
         #: candidate vertex -> internal vertices that requested it (V_req).
         self.requesters: dict[int, list[int]] = defaultdict(list)
         self._succ_cache: dict[int, np.ndarray] = {}
+
+    def with_binding(self, binding) -> "ChunkContext":
+        """A view for another thread: shares every chunk structure and
+        the sink with this context, but intersects through *binding*."""
+        view = copy.copy(self)
+        view.binding = binding
+        return view
 
     def is_internal(self, v: int) -> bool:
         """Whether vertex *v*'s adjacency list is in the internal area."""

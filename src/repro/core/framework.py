@@ -25,6 +25,7 @@ from repro.core.context import ChunkContext
 from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
 from repro.core.result_store import GroupCaptureSink, RunCheckpoint
 from repro.errors import ConfigurationError
+from repro.exec.kernels import HashKernel
 from repro.memory.base import CountSink, TriangleSink
 from repro.obs import (
     EventTracer,
@@ -214,6 +215,7 @@ def run_opt(
     buffer = BufferManager(capacity, loader=loader,
                            registry=report.registry if report else None,
                            tracer=tracer)
+    binding = HashKernel().bind(store.num_vertices)
 
     output_pages_before = getattr(sink, "pages_written", 0)
     if telemetry is not None:
@@ -261,7 +263,8 @@ def run_opt(
 
                 v_lo, v_hi = store.chunk_vertex_range(pid, end)
                 adjacency = _assemble_adjacency(chunk_records)
-                ctx = ChunkContext(v_lo, v_hi, adjacency, iteration_sink)
+                ctx = ChunkContext(v_lo, v_hi, adjacency, iteration_sink,
+                                   binding)
 
                 # -- candidate identification (Algorithm 7 per record) -------
                 with _span(report, "identify-candidates"):

@@ -7,7 +7,9 @@ OPT is generic: an instance supplies three operations (Section 3.2/3.5) —
 * ``external_ops_for_record`` — ExternalTriangleImpl (Algorithms 10 / 13).
 
 Each returns the CPU operation count it consumed (the paper's probe
-measure) and emits triangles into the context's sink.  Adjacency lists may
+measure) and emits triangles into the context's sink.  EdgeIterator≻
+intersects through the context's ``hash`` kernel binding, which supplies
+both the common members and the Eq. 3 charge.  Adjacency lists may
 arrive chunked across pages; intersections and membership probes
 distribute over chunks, so per-record processing remains exact.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.core.context import ChunkContext
 from repro.storage.page import PageRecord
-from repro.util.intersect import HASH_PROBE_COST, intersect_count_ops, intersect_sorted
+from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["EdgeIteratorPlugin", "IteratorPlugin", "MGTPlugin", "VertexIteratorPlugin"]
 
@@ -73,6 +75,7 @@ class EdgeIteratorPlugin(IteratorPlugin):
         return candidates, len(neighbors)
 
     def internal_ops_for_page(self, ctx, records):
+        intersect = ctx.binding.intersect
         ops = 0
         for record in records:
             u = record.vertex
@@ -83,9 +86,8 @@ class EdgeIteratorPlugin(IteratorPlugin):
             succ_u = ctx.n_succ(u)
             for v in internal_succ:
                 v = int(v)
-                succ_v = ctx.n_succ(v)
-                ops += intersect_count_ops(len(succ_u), len(succ_v))
-                common = intersect_sorted(succ_u, succ_v)
+                common, pair_ops = intersect(succ_u, ctx.n_succ(v))
+                ops += pair_ops
                 if len(common):
                     ctx.sink.emit(u, v, common.tolist())
         return ops
@@ -97,11 +99,11 @@ class EdgeIteratorPlugin(IteratorPlugin):
         requesters = ctx.requesters.get(v)
         if not requesters:
             return 0
+        intersect = ctx.binding.intersect
         ops = 0
         for u in requesters:
-            succ_u = ctx.n_succ(u)
-            ops += intersect_count_ops(len(succ_u), len(succ_chunk))
-            common = intersect_sorted(succ_u, succ_chunk)
+            common, pair_ops = intersect(ctx.n_succ(u), succ_chunk)
+            ops += pair_ops
             if len(common):
                 ctx.sink.emit(u, v, common.tolist())
         return ops

@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.analysis.costs import cost_conformance
@@ -29,6 +30,7 @@ from repro.core.framework import _assemble_adjacency, _fold_fault_log
 from repro.core.plugins import IteratorPlugin
 from repro.core.result_store import GroupCaptureSink, RunCheckpoint
 from repro.errors import ConfigurationError
+from repro.exec.kernels import HashKernel
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs import (
@@ -164,6 +166,10 @@ def triangulate_threaded(
 
     run_trace = RunTrace(num_pages=store.num_pages, m_in=m_in, m_ex=window,
                          sync_external=False)
+    # One binding per intersecting thread: the main thread (Algorithm 5)
+    # and the SSD's callback thread (Algorithm 9) run concurrently.
+    bindings = (HashKernel().bind(store.num_vertices),
+                HashKernel().bind(store.num_vertices))
     start = time.perf_counter()
     iterations = 0
     page_file = store.open_page_file(directory)
@@ -192,15 +198,11 @@ def triangulate_threaded(
                                   if checkpoint is not None else locked_sink)
                 logger.debug("threaded iteration %d: pages %d..%d",
                              iterations, pid, end)
-                if report is not None:
-                    with report.span("iteration", index=iterations):
-                        itrace = _run_iteration(store, ssd, plugin,
-                                                iteration_sink, pid, end,
-                                                window, tracer, iterations)
-                else:
+                with (report.span("iteration", index=iterations)
+                      if report is not None else nullcontext()):
                     itrace = _run_iteration(store, ssd, plugin,
-                                            iteration_sink, pid, end,
-                                            window, tracer, iterations)
+                                            iteration_sink, bindings, pid,
+                                            end, window, tracer, iterations)
                 run_trace.iterations.append(itrace)
                 if checkpoint is not None:
                     checkpoint.record(iterations, pid, end,
@@ -246,6 +248,7 @@ def _run_iteration(
     ssd: ThreadedSSD,
     plugin: IteratorPlugin,
     sink: _LockedSink,
+    bindings: tuple,
     pid: int,
     end: int,
     window: int,
@@ -259,7 +262,9 @@ def _run_iteration(
     iteration_start = tracer.now() if tracer is not None else 0.0
     chunk_records: dict[int, list[PageRecord]] = {}
     v_lo, v_hi = store.chunk_vertex_range(pid, end)
-    ctx = ChunkContext(v_lo, v_hi, {}, sink)
+    main_binding, callback_binding = bindings
+    ctx = ChunkContext(v_lo, v_hi, {}, sink, main_binding)
+    callback_ctx = ctx.with_binding(callback_binding)
 
     def identify_candidates(records, page_id):
         # Distinct page_id per callback, and the single callback thread
@@ -300,7 +305,7 @@ def _run_iteration(
         ops = 0
         for record in records:
             if record.vertex in ctx.requesters:
-                ops += plugin.external_ops_for_record(ctx, record)
+                ops += plugin.external_ops_for_record(callback_ctx, record)
         # Serialized by the single callback thread; the main thread reads
         # external_reads only after wait_idle().  # lint: ignore[lockset]
         itrace.external_reads.append(ExternalRead(pid=page_id, cpu_ops=ops))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.util.intersect import intersect_count_ops
+from repro.graph.ordering import edge_charges
 
 __all__ = [
     "edge_cut",
@@ -46,17 +46,11 @@ def per_partition_ops(graph: Graph, placement: np.ndarray, parts: int) -> np.nda
     lower endpoint (where the triangle is counted); the spread of this
     array is the cluster's compute imbalance.
     """
-    ops = np.zeros(parts, dtype=np.int64)
-    for u in range(graph.num_vertices):
-        succ_u = graph.n_succ(u)
-        if len(succ_u) == 0:
-            continue
-        part = placement[u]
-        total = 0
-        for v in succ_u:
-            total += intersect_count_ops(len(succ_u), len(graph.n_succ(int(v))))
-        ops[part] += total
-    return ops
+    edges = graph.edge_array()
+    charges = edge_charges(edges[:, 0], edges[:, 1], graph.num_vertices)
+    # bincount sums float weights; integer totals stay exact below 2**53.
+    ops = np.bincount(placement[edges[:, 0]], weights=charges, minlength=parts)
+    return ops.astype(np.int64)
 
 
 def vertex_cut_replication(graph: Graph, parts: int, *, seed: int = 0) -> float:

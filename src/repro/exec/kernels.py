@@ -13,9 +13,11 @@ all returning ``(common, ops)``:
   Charges measured comparisons.
 
 ``merge`` and ``gallop`` are the reference kernels of the op-count
-ablation; ``hash`` is the one every engine runs by default.  ``bitmap``
-is the dense-mask path's former name, still registered as an alias of
-``hash`` (:class:`BitmapAlias`): same binding, charge and listing.
+ablation.  ``hash`` is the one Eq. 3 intersection path: the exec
+engines, the OPT EdgeIterator≻ plugins, the CC / GraphChi baselines and
+the clique counters all bind it once per run.  ``bitmap`` is the
+dense-mask path's former name, still registered as an alias of ``hash``
+(:class:`BitmapAlias`): same binding, charge and listing.
 
 Kernels are stateless and picklable by *name* (the process executor
 re-resolves them in workers via :mod:`repro.exec.registry`); per-graph
@@ -90,6 +92,13 @@ class BitmapAlias(HashKernel):
 
 
 class _HashBinding:
+    """A dense membership mask over the vertex space.
+
+    The mask is single-thread scratch: two threads sharing it would see
+    each other's marks as phantom members, so every thread that
+    intersects owns its own binding.  It is clean between calls.
+    """
+
     def __init__(self, kernel: HashKernel, num_vertices: int):
         self.name = kernel.name
         self._mask = np.zeros(num_vertices, dtype=bool)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.kernels import HashKernel
 from repro.graph.graph import Graph
-from repro.util.intersect import intersect_sorted
 
 __all__ = [
     "arboricity_bound",
@@ -25,15 +25,17 @@ __all__ = [
 def per_vertex_triangles(graph: Graph) -> np.ndarray:
     """Number of triangles each vertex participates in.
 
-    Computed by intersecting adjacency lists along each edge (u < v) and
-    crediting u, v, and every common neighbor w.
+    Computed by intersecting successor lists along each edge (u < v)
+    through the ``hash`` kernel and crediting u, v, and every common
+    successor w.
     """
+    intersect = HashKernel().bind(graph.num_vertices).intersect
     counts = np.zeros(graph.num_vertices, dtype=np.int64)
     for u in range(graph.num_vertices):
         row_u = graph.n_succ(u)
         for v in row_u:
             v = int(v)
-            common = intersect_sorted(row_u, graph.n_succ(v))
+            common, _ = intersect(row_u, graph.n_succ(v))
             if len(common):
                 counts[u] += len(common)
                 counts[v] += len(common)
@@ -76,7 +78,9 @@ def trigonal_connectivity(graph: Graph, u: int, v: int) -> int:
     """
     if not graph.has_edge(u, v):
         return 0
-    return len(intersect_sorted(graph.neighbors(u), graph.neighbors(v)))
+    # One uncharged pair: a dense mask would cost O(n) for this lookup.
+    return len(np.intersect1d(graph.neighbors(u), graph.neighbors(v),
+                              assume_unique=True))
 
 
 def arboricity_bound(graph: Graph) -> float:

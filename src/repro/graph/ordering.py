@@ -39,6 +39,7 @@ __all__ = [
     "choose_ordering",
     "degeneracy_order_mapping",
     "degree_order_mapping",
+    "edge_charges",
     "locality_order_mapping",
     "ordering_costs",
     "ordering_op_cost",
@@ -137,15 +138,20 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
     return mapping
 
 
+def edge_charges(lo: np.ndarray, hi: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Eq. 3 charge ``min(|n_succ(lo)|, |n_succ(hi)|)`` of every oriented
+    edge ``lo[i] < hi[i]``, from one ``bincount`` of out-degrees."""
+    outdeg = np.bincount(lo, minlength=num_vertices)
+    return np.minimum(outdeg[lo], outdeg[hi])
+
+
 def ordering_op_cost(graph: Graph, mapping: np.ndarray) -> int:
     """The exact Eq. 3 bill of EdgeIterator≻ under *mapping*.
 
-    For each undirected edge, orient it low-to-high under the new ids;
-    the hash kernel then charges ``min(|n_succ(u')|, |n_succ(v')|)`` for
-    that pair.  Out-degrees under the mapping are one ``bincount`` over
-    the oriented edge array, so the whole bill is closed-form — no
-    relabeled graph, no engine run — and matches the relabeled run's
-    ``cpu_ops`` exactly (asserted by the ordering property tests).
+    Each undirected edge is oriented low-to-high under the new ids and
+    charged by :func:`edge_charges` — no relabeled graph, no engine run —
+    and the sum matches the relabeled run's ``cpu_ops`` exactly (asserted
+    by the ordering property tests).
     """
     n = graph.num_vertices
     edges = graph.edge_array()
@@ -155,8 +161,7 @@ def ordering_op_cost(graph: Graph, mapping: np.ndarray) -> int:
     mapped_v = mapping[edges[:, 1]]
     lo = np.minimum(mapped_u, mapped_v)
     hi = np.maximum(mapped_u, mapped_v)
-    outdeg = np.bincount(lo, minlength=n)
-    return int(np.minimum(outdeg[lo], outdeg[hi]).sum())
+    return int(edge_charges(lo, hi, n).sum())
 
 
 def _mapping_for(graph: Graph, ordering: Ordering, seed: int) -> np.ndarray:

@@ -23,10 +23,10 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.exec.kernels import HashKernel
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.storage.buffer import BufferManager
 from repro.storage.layout import GraphStore
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = ["FourCliqueResult", "four_cliques_disk"]
 
@@ -70,6 +70,7 @@ def four_cliques_disk(
     buffer hits free and misses charged a page read.
     """
     buffer = BufferManager(max(1, buffer_pages), loader=store.decode_page)
+    intersect = HashKernel().bind(store.num_vertices).intersect
     pages_read = 0
     cpu_ops = 0
     cliques = 0
@@ -108,9 +109,8 @@ def four_cliques_disk(
             # Candidates x: later members of W (already common neighbors
             # of u and v); the join condition is x ∈ n_succ(w).
             candidates = w_array[index + 1:]
-            succ_w = succ_of(w)
-            cpu_ops += intersect_count_ops(len(candidates), len(succ_w))
-            common = intersect_sorted(candidates, succ_w)
+            common, pair_ops = intersect(candidates, succ_of(w))
+            cpu_ops += pair_ops
             if len(common):
                 cliques += len(common)
                 if collect:

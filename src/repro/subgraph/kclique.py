@@ -21,10 +21,10 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import TriangulationError
+from repro.exec.kernels import HashKernel
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.storage.buffer import BufferManager
 from repro.storage.layout import GraphStore
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = ["KCliqueResult", "k_cliques_disk"]
 
@@ -60,6 +60,7 @@ def k_cliques_disk(
     if k < 3:
         raise TriangulationError("the disk join starts from triangles (k >= 3)")
     buffer = BufferManager(max(1, buffer_pages), loader=store.decode_page)
+    intersect = HashKernel().bind(store.num_vertices).intersect
     pages_read = 0
     cpu_ops = 0
 
@@ -101,9 +102,8 @@ def k_cliques_disk(
         for index, w in enumerate(extensions[:-1]):
             w = int(w)
             later = extensions[index + 1:]
-            succ_w = succ_of(w)
-            cpu_ops += intersect_count_ops(len(later), len(succ_w))
-            narrowed = intersect_sorted(later, succ_w)
+            narrowed, pair_ops = intersect(later, succ_of(w))
+            cpu_ops += pair_ops
             if len(narrowed):
                 expand(prefix + (w,), narrowed, level + 1)
 

@@ -3,8 +3,6 @@
 from repro.util.intersect import (
     gallop_intersect,
     hash_intersect,
-    intersect_count_ops,
-    intersect_sorted,
     merge_intersect,
 )
 from repro.util.opcount import OpCounter
@@ -15,7 +13,5 @@ __all__ = [
     "format_table",
     "gallop_intersect",
     "hash_intersect",
-    "intersect_count_ops",
-    "intersect_sorted",
     "merge_intersect",
 ]

@@ -1,30 +1,26 @@
-"""Sorted-list intersection kernels with operation accounting.
+"""Reference intersection kernels with measured operation counts.
 
 Triangulation cost in the paper is measured in adjacency-list intersection
 operations: intersecting ``n_succ(u)`` with ``n_succ(v)`` using an O(1) hash
 costs ``min(|n_succ(u)|, |n_succ(v)|)`` probes (Eq. 3 of the paper).  The
-fast path used by the OPT plugins and the other numpy engines is
-:func:`intersect_sorted`, which delegates to ``numpy.intersect1d`` and
-*charges* the analytic probe count via :func:`intersect_count_ops` — this
-keeps the Python implementation fast while the cost model matches the
-paper exactly.
+one data path that charges it is the ``hash`` kernel binding in
+:mod:`repro.exec.kernels`, which every engine, the OPT plugins, the
+baselines and the clique counters run.
 
-Three reference kernels (merge, hash, gallop) are provided as executable
-specifications; they return their own measured operation counts.  The
-engines' kernel catalogue lives in :mod:`repro.exec.kernels`.
+The three kernels here (merge, hash, gallop) are executable
+specifications over plain sequences; each returns its own measured
+operation count.  ``merge`` and ``gallop`` back the exec kernels of the
+same names, and the tests check the ``hash`` binding against
+:func:`hash_intersect`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "gallop_intersect",
     "hash_intersect",
-    "intersect_count_ops",
-    "intersect_sorted",
     "merge_intersect",
 ]
 
@@ -35,26 +31,6 @@ __all__ = [
 #: observation that VertexIterator≻ runs ~20% slower than EdgeIterator≻
 #: despite equal asymptotic complexity (Section 5.3).
 HASH_PROBE_COST = 2
-
-
-def intersect_count_ops(len_a: int, len_b: int) -> int:
-    """Analytic probe count for intersecting two sorted lists via hashing.
-
-    This is the paper's cost measure ``min(|a|, |b|)`` (Eq. 3); both the
-    cost analysis (Section 3.3) and the simulated engines charge this.
-    """
-    return min(len_a, len_b)
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersect two sorted, duplicate-free integer arrays.
-
-    Returns a sorted array of the common elements.  This is the hot path;
-    it assumes (and does not validate) sortedness.
-    """
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, dtype=a.dtype if len(a) else b.dtype)
-    return np.intersect1d(a, b, assume_unique=True)
 
 
 def merge_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import cc_ds, cc_seq, graphchi_tri, mgt
-from repro.baselines.common import induced_pages, partition_ranges, range_triangle_pass
+from repro.baselines.common import induced_pages, partition_ranges
 from repro.core import buffer_pages_for_ratio, make_store, triangulate_disk
 from repro.errors import ConfigurationError
+from repro.exec import HashKernel, run_range
+from repro.exec.sources import _GraphHandle
 from repro.graph import generators
 from repro.memory import CollectSink, canonical_triangles, edge_iterator
 from repro.sim import CostModel
@@ -56,12 +58,17 @@ class TestPartitioning:
         assert len(ranges) >= 2
 
     def test_range_pass_partition_sums_to_total(self, small_rmat_ordered):
-        expected = edge_iterator(small_rmat_ordered).triangles
+        """The baselines' rounds — ``run_range`` over each inclusive
+        partition range — list every triangle once and charge the whole
+        edge-iterator bill."""
+        expected = edge_iterator(small_rmat_ordered)
         ranges = partition_ranges(small_rmat_ordered, 3, 256)
-        total = sum(
-            range_triangle_pass(small_rmat_ordered, lo, hi)[0] for lo, hi in ranges
-        )
-        assert total == expected
+        handle = _GraphHandle(small_rmat_ordered)
+        binding = HashKernel().bind(small_rmat_ordered.num_vertices)
+        passes = [run_range(handle, binding, lo, hi + 1, collect=False)
+                  for lo, hi in ranges]
+        assert sum(found for found, _, _ in passes) == expected.triangles
+        assert sum(ops for _, ops, _ in passes) == expected.cpu_ops
 
     def test_induced_pages_monotone(self, small_rmat_ordered):
         pages = [induced_pages(small_rmat_ordered, lo, 256)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.exec import HashKernel
 from repro.util.intersect import (
     gallop_intersect,
     hash_intersect,
-    intersect_count_ops,
-    intersect_sorted,
     merge_intersect,
 )
 
@@ -20,31 +19,21 @@ sorted_unique = st.lists(st.integers(0, 500), max_size=60).map(
 )
 
 
-class TestIntersectSorted:
-    def test_basic(self):
-        a = np.array([1, 3, 5, 7])
-        b = np.array([3, 4, 5, 9])
-        assert intersect_sorted(a, b).tolist() == [3, 5]
+def _bind(num_vertices=501):
+    return HashKernel().bind(num_vertices)
 
-    def test_empty_left(self):
-        assert len(intersect_sorted(np.array([], dtype=np.int64), np.array([1]))) == 0
 
-    def test_empty_right(self):
-        assert len(intersect_sorted(np.array([1, 2]), np.array([], dtype=np.int64))) == 0
-
-    def test_disjoint(self):
-        assert len(intersect_sorted(np.array([1, 2]), np.array([3, 4]))) == 0
-
-    def test_identical(self):
-        a = np.array([2, 4, 6])
-        assert intersect_sorted(a, a).tolist() == [2, 4, 6]
+def _ids(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 class TestOpsAccounting:
     def test_count_is_min(self):
-        assert intersect_count_ops(3, 10) == 3
-        assert intersect_count_ops(10, 3) == 3
-        assert intersect_count_ops(0, 5) == 0
+        """The ``hash`` binding charges Eq. 3: ``min(|a|, |b|)``."""
+        binding = _bind()
+        assert binding.intersect(_ids(range(3)), _ids(range(10)))[1] == 3
+        assert binding.intersect(_ids(range(10)), _ids(range(3)))[1] == 3
+        assert binding.intersect(_ids([]), _ids(range(5)))[1] == 0
 
     def test_hash_ops_match_paper_measure(self):
         result, ops = hash_intersect([1, 2, 3], list(range(100)))
@@ -73,26 +62,33 @@ class TestReferenceKernels:
 
     @given(sorted_unique, sorted_unique)
     def test_intersect_sorted_with_analytic_charge(self, a, b):
-        """The OPT plugins' fast path: ``intersect_sorted`` lists the
-        common members in order and ``intersect_count_ops`` charges the
-        Eq. 3 probe count, the hash reference kernel's measured one."""
-        a_arr = np.asarray(a, dtype=np.int64)
-        b_arr = np.asarray(b, dtype=np.int64)
-        assert intersect_sorted(a_arr, b_arr).tolist() == sorted(set(a) & set(b))
-        ops = intersect_count_ops(len(a_arr), len(b_arr))
+        """Sorted inputs through the ``hash`` binding: the common members
+        come back in order, charged the Eq. 3 probe count — the hash
+        reference kernel's measured one."""
+        common, ops = _bind().intersect(_ids(a), _ids(b))
+        assert [int(w) for w in common] == sorted(set(a) & set(b))
         assert ops == min(len(a), len(b)) == hash_intersect(a, b)[1]
 
 
 class TestHashBindingMask:
     """The ``hash`` binding's dense scratch mask survives reuse."""
 
-    def _binding(self, num_vertices=200):
-        from repro.exec import HashKernel
-
-        return HashKernel().bind(num_vertices)
+    @pytest.mark.parametrize("a, b, expected", [
+        pytest.param([1, 3, 5, 7], [3, 4, 5, 9], [3, 5], id="basic"),
+        pytest.param([], [1], [], id="empty-left"),
+        pytest.param([1, 2], [], [], id="empty-right"),
+        pytest.param([1, 2], [3, 4], [], id="disjoint"),
+        pytest.param([2, 4, 6], [2, 4, 6], [2, 4, 6], id="identical"),
+    ])
+    def test_known_cases(self, a, b, expected):
+        binding = _bind(16)
+        common, ops = binding.intersect(_ids(a), _ids(b))
+        assert [int(w) for w in common] == expected
+        assert ops == min(len(a), len(b))
+        assert not binding._mask.any()
 
     def test_mask_reuse_across_calls(self):
-        binding = self._binding()
+        binding = _bind(200)
         a = np.array([10, 20, 30, 40], dtype=np.int64)
         b = np.arange(0, 40 + 1, dtype=np.int64)
         first = binding.intersect(binding.prep(a), b)
@@ -110,10 +106,8 @@ class TestHashBindingMask:
 
     @given(sorted_unique, sorted_unique)
     def test_agrees_with_hash_reference(self, a, b):
-        binding = self._binding(501)
-        a_arr = np.asarray(a, dtype=np.int64)
-        b_arr = np.asarray(b, dtype=np.int64)
-        common, ops = binding.intersect(binding.prep(a_arr), b_arr)
+        binding = _bind()
+        common, ops = binding.intersect(binding.prep(_ids(a)), _ids(b))
         assert [int(w) for w in common] == hash_intersect(a, b)[0]
-        assert ops == intersect_count_ops(len(a), len(b))
+        assert ops == min(len(a), len(b))
         assert not binding._mask.any()

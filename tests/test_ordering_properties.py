@@ -14,7 +14,10 @@ graphs:
 * :func:`~repro.graph.ordering.ordering_op_cost` equals the relabeled
   engine's measured Eq. 3 bill exactly;
 * :func:`~repro.graph.ordering.choose_ordering` is deterministic per
-  graph seed and actually picks the measured minimum.
+  graph seed and actually picks the measured minimum;
+* the closed-form per-edge charge (:func:`~repro.graph.ordering.edge_charges`)
+  gives the same per-partition and per-interval op totals as the
+  per-edge ``min(len, len)`` loop it replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.common import partition_ranges
+from repro.baselines.graphchi import _op_split
+from repro.distributed.partitioning import hash_partition, per_partition_ops
 from repro.graph.builder import from_edges
 from repro.graph.cores import core_numbers, peeling_order
 from repro.graph.generators import rmat
@@ -129,3 +135,42 @@ def test_choose_ordering_is_deterministic_per_graph_seed(seed):
     assert (map_a == map_b).all()
     assert (graph_a.indptr == graph_b.indptr).all()
     assert (graph_a.indices == graph_b.indices).all()
+
+
+def _loop_partition_ops(graph, placement, parts):
+    """Reference: the per-edge loop ``per_partition_ops`` replaced."""
+    ops = np.zeros(parts, dtype=np.int64)
+    for u in range(graph.num_vertices):
+        succ_u = graph.n_succ(u)
+        for v in succ_u:
+            ops[placement[u]] += min(len(succ_u), len(graph.n_succ(int(v))))
+    return ops
+
+
+def _loop_op_split(graph, ranges):
+    """Reference: GraphChi-Tri's per-edge parallel/sequential loop."""
+    bounds = np.array([hi for _, hi in ranges], dtype=np.int64)
+    parallel = sequential = 0
+    for index, (lo, hi) in enumerate(ranges):
+        for u in range(lo, hi + 1):
+            succ_u = graph.n_succ(u)
+            for v in succ_u:
+                probe = min(len(succ_u), len(graph.n_succ(int(v))))
+                if int(np.searchsorted(bounds, int(v), side="right")) == index:
+                    sequential += probe
+                else:
+                    parallel += probe
+    return parallel, sequential
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=graphs, parts=st.integers(1, 6), budget=st.integers(1, 4))
+def test_closed_form_charges_match_the_per_edge_loop(spec, parts, budget):
+    graph = _build(spec)
+    placement = hash_partition(graph.num_vertices, parts, seed=3)
+    ops = per_partition_ops(graph, placement, parts)
+    reference = _loop_partition_ops(graph, placement, parts)
+    assert ops.dtype == np.int64
+    assert ops.tolist() == reference.tolist()
+    ranges = partition_ranges(graph, budget, 64)
+    assert _op_split(graph, ranges) == _loop_op_split(graph, ranges)
